@@ -13,7 +13,7 @@ import sys
 import yaml
 
 from .checks import CHECKS, run_check
-from .config import ConfigError, config_from_dict, load_config
+from .config import ConfigError, config_from_dict
 from .scenarios import InvalidParam
 from .sim import run_simulation, write_outputs
 

@@ -58,10 +58,6 @@ class RunConfig:
 
     # switch marking
     ecn_threshold_bytes: int = 32_000
-    secn_clamp: bool = True          # floor the accumulator at zero
-    secn_exact_fraction: bool = True  # carry remainder + cap increment
-    secn_mark_next: bool = False
-    secn_random_engine: bool = False  # reference random-draw marker
 
     # transport
     mss_bytes: int = 1500
@@ -134,8 +130,7 @@ class RunConfig:
 _SECTIONS = {
     "network": ("link_rate_bps", "prop_delay_ns", "hop_proc_ns",
                 "buffer_bytes", "tor_uplink_buffer_bytes"),
-    "switch": ("ecn_threshold_bytes", "secn_clamp", "secn_exact_fraction",
-               "secn_mark_next", "secn_random_engine"),
+    "switch": ("ecn_threshold_bytes",),
     "transport": ("mss_bytes", "initial_window_packets", "max_cwnd_packets",
                   "rto_min_ns", "dctcp_gain", "dctcp_alpha0", "pacing",
                   "initial_rtt_ns"),

@@ -26,20 +26,21 @@ class RunSummary:
 class Engine:
     """Event loop: schedule callbacks, cancel them, run to a horizon.
 
-    Heap entries are mutable lists ``[time, seq, fn, arg]``; cancellation
-    nulls the callback in place and the loop skips dead entries on pop,
-    so cancel is O(1).
+    Heap entries are mutable lists ``[time, seq, fn, arg]`` and double as
+    cancellation handles: cancel nulls the callback in place and the loop
+    skips dead entries on pop, so cancel is O(1).  The loop also nulls the
+    callback of every entry it dispatches, so cancelling a fired event is a
+    no-op.
     """
 
     def __init__(self):
         self._heap = []
         self._seq = 0
-        self._live = {}
         self.now = 0
         self.last_dispatch_ns = 0
         self.stats = RunSummary()
 
-    def schedule(self, fire_time_ns: int, fn, arg=None) -> int:
+    def schedule(self, fire_time_ns: int, fn, arg=None) -> list:
         """Queue `fn(now, arg)` at `fire_time_ns`; returns a cancellation handle."""
         if fire_time_ns < self.now:
             raise SchedulingInPast(
@@ -48,32 +49,27 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = [fire_time_ns, seq, fn, arg]
-        self._live[seq] = entry
         heapq.heappush(self._heap, entry)
-        return seq
+        return entry
 
-    def cancel(self, handle: int) -> bool:
+    def cancel(self, handle: list) -> bool:
         """True iff the event was still pending and is now removed."""
-        entry = self._live.pop(handle, None)
-        if entry is None:
+        if handle[2] is None:
             return False
-        entry[2] = None
+        handle[2] = None
         return True
-
-    def pending(self) -> int:
-        return len(self._live)
 
     def run_until(self, t_end_ns: int) -> RunSummary:
         """Dispatch every event with fire_time <= t_end_ns."""
         heap = self._heap
-        live = self._live
         stats = self.stats
         n = 0
         while heap and heap[0][0] <= t_end_ns:
-            t, seq, fn, arg = heapq.heappop(heap)
+            entry = heapq.heappop(heap)
+            t, _, fn, arg = entry
             if fn is None:
                 continue
-            del live[seq]
+            entry[2] = None
             self.now = t
             n += 1
             fn(t, arg)

@@ -23,8 +23,7 @@ equivalently, in per-arrival byte units,
     prob = 1                      if P >= 2*R*I
 
 The deterministic accumulator adds (P - R*I) per packet and marks when the
-sum exceeds R*I.  Two details differ from a bare running sum and are
-config-toggleable (see ``SlopeEcn``):
+sum exceeds R*I.  Two details differ from a bare running sum:
 
 * on a mark the threshold amount is subtracted instead of zeroing the sum,
   so the long-run marked fraction converges to the mean per-packet
@@ -107,37 +106,27 @@ class ThresholdEcn:
 class SlopeEcn:
     """Deterministic divider-free slope marking (byte accumulator).
 
-    accumulator += P - R*I per arrival; mark when accumulator > R*I.
-    State volume is one signed counter and the last arrival time, as a
-    switch pipeline would keep per port.
-
-    `carry_remainder` subtracts R*I on a mark (default) instead of zeroing;
-    `clamp_at_zero` floors the accumulator so idle periods do not bank
-    negative credit; `mark_next` delays the mark decision one packet (the
-    alternative reading of "the next packet will be marked").
+    accumulator += P - R*I per arrival, the increment capped at R*I and the
+    sum floored at zero so idle periods do not bank negative credit; when
+    the accumulator exceeds R*I the current packet is marked and R*I is
+    subtracted.  State volume is one signed counter and the last arrival
+    time, as a switch pipeline would keep per port.
     """
 
-    __slots__ = ("rate_bps", "accumulator", "last_arrival_ns",
-                 "carry_remainder", "clamp_at_zero", "mark_next", "_pending")
+    __slots__ = ("rate_bps", "accumulator", "last_arrival_ns")
 
-    def __init__(self, rate_bps: int, carry_remainder: bool = True,
-                 clamp_at_zero: bool = True, mark_next: bool = False):
+    def __init__(self, rate_bps: int):
         if rate_bps <= 0:
             raise InvalidRate(f"rate must be > 0, got {rate_bps}")
         self.rate_bps = rate_bps
         self.accumulator = 0
         self.last_arrival_ns = None
-        self.carry_remainder = carry_remainder
-        self.clamp_at_zero = clamp_at_zero
-        self.mark_next = mark_next
-        self._pending = False
 
     def reset_on_external_mark(self, now_ns):
         """A mark decided outside the slope scheme (hybrid threshold branch)
         still consumes the accumulated debt and advances the arrival chain."""
         self.last_arrival_ns = now_ns
         self.accumulator = 0
-        self._pending = False
 
     def decide(self, queue_bytes, pkt_bytes, now_ns):
         last = self.last_arrival_ns
@@ -149,25 +138,22 @@ class SlopeEcn:
             # Two arrivals in the same nanosecond: unbounded rate, mark.
             return True
         inc = pkt_bytes - ri
-        if self.carry_remainder and inc > ri:
+        if inc > ri:
             inc = ri
         acc = self.accumulator + inc
-        if self.clamp_at_zero and acc < 0:
+        if acc < 0:
             acc = 0
-        mark = False
         if acc > ri:
-            acc = acc - ri if self.carry_remainder else 0
-            mark = True
+            self.accumulator = acc - ri
+            return True
         self.accumulator = acc
-        if self.mark_next:
-            mark, self._pending = self._pending, mark
-        return mark
+        return False
 
 
 class RandomSlopeEcn:
     """Reference slope marker: literal per-packet random draw against the
     arrival-form probability.  Used as the independent cross-check for the
-    accumulator scheme; consumes the run's seeded generator."""
+    accumulator scheme; consumes the seeded generator it is given."""
 
     __slots__ = ("rate_bps", "rng", "last_arrival_ns")
 
@@ -177,9 +163,6 @@ class RandomSlopeEcn:
         self.rate_bps = rate_bps
         self.rng = rng
         self.last_arrival_ns = None
-
-    def reset_on_external_mark(self, now_ns):
-        self.last_arrival_ns = now_ns
 
     def decide(self, queue_bytes, pkt_bytes, now_ns):
         last = self.last_arrival_ns

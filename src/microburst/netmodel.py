@@ -16,7 +16,7 @@ stage uses for phase segmentation.
 from collections import deque
 
 from .packets import DATA
-from .units import NS_PER_S, quantize_down
+from .units import quantize_down, serialization_ns
 
 ACCEPTED = 0
 ACCEPTED_MARKED = 1
@@ -43,10 +43,9 @@ def stamp_telemetry(pkt, now_ns: int, queue_bytes: int, fidelity: bool) -> None:
 class PortTrace:
     """Event log and ground-truth annotations for one monitored port."""
 
-    def __init__(self, port_id, fidelity=False, eligible_flows=None):
+    def __init__(self, port_id, fidelity=False):
         self.port_id = port_id
         self.fidelity = fidelity
-        self.eligible_flows = eligible_flows  # None means every flow
         self.rows = []          # (time_ns, queue_bytes, flow_id, event)
         self.times = []         # exact post-event occupancy samples
         self.occupancy = []
@@ -59,13 +58,10 @@ class PortTrace:
         self.first_drop_ns = None
         self.first_mark_ns = None
 
-    def _eligible(self, pkt):
-        return self.eligible_flows is None or pkt.flow_id in self.eligible_flows
-
     def record_enqueue(self, now, q_before, q_after, pkt, marked):
         self.times.append(now)
         self.occupancy.append(q_after)
-        if pkt.kind == DATA and self._eligible(pkt):
+        if pkt.kind == DATA:
             stamp_telemetry(pkt, now, q_before, self.fidelity)
             t_row, q_row = pkt.telemetry_stamp
         else:
@@ -134,10 +130,6 @@ class Port:
         self.marks = 0
         self.max_queue_bytes = 0
 
-    def _ser_ns(self, size):
-        rate = self.rate_bps
-        return (size * 8 * NS_PER_S + rate // 2) // rate
-
     def enqueue(self, pkt, now):
         size = pkt.size
         qb = self.queue_bytes
@@ -166,7 +158,8 @@ class Port:
         self.queue.append(pkt)
         if not self.busy:
             self.busy = True
-            self.engine.schedule(now + self._ser_ns(size), self._tx_done, None)
+            self.engine.schedule(now + serialization_ns(size, self.rate_bps),
+                                 self._tx_done, None)
         return ACCEPTED_MARKED if marked else ACCEPTED
 
     def _tx_done(self, now, _):
@@ -177,8 +170,9 @@ class Port:
         if self.trace is not None:
             self.trace.record_dequeue(now, self.queue_bytes, pkt)
         if queue:
-            self.engine.schedule(now + self._ser_ns(queue[0].size),
-                                 self._tx_done, None)
+            self.engine.schedule(
+                now + serialization_ns(queue[0].size, self.rate_bps),
+                self._tx_done, None)
         else:
             self.busy = False
         hop = pkt.hop + 1

@@ -34,8 +34,6 @@ class FlowSpec:
     size_bytes: int
     start_ns: int
     query_id: int = None
-    telemetry_eligible: bool = True
-    pacing: bool = None      # None: use the run-level setting
     burst: bool = True       # False for long-lived background flows;
                              # only burst flows carry phase annotations
 

@@ -6,10 +6,9 @@ import os
 import random
 from dataclasses import dataclass
 
-from .config import RunConfig, DEFAULT_MONITOR_PORT, effective_yaml
+from .config import RunConfig, effective_yaml
 from .engine import Engine
-from .marking import (TailDrop, ThresholdEcn, SlopeEcn, SlopeThresholdEcn,
-                      RandomSlopeEcn)
+from .marking import TailDrop, ThresholdEcn, SlopeEcn, SlopeThresholdEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA
 from .scenarios import build_schedule
@@ -19,37 +18,27 @@ from .transport import Sender, Receiver, TransportParams, DCTCP
 _TAILDROP = TailDrop()
 
 
-def _make_policy(cfg: RunConfig, rng):
+def _make_policy(cfg: RunConfig):
+    """A fresh marking policy for one switch port."""
     kind = cfg.policy_kind()
-
-    def factory():
-        if kind == "taildrop":
-            return _TAILDROP
-        if kind == "threshold":
-            return ThresholdEcn(cfg.ecn_threshold_bytes)
-        if cfg.secn_random_engine:
-            slope = RandomSlopeEcn(cfg.link_rate_bps, rng)
-        else:
-            slope = SlopeEcn(cfg.link_rate_bps,
-                             carry_remainder=cfg.secn_exact_fraction,
-                             clamp_at_zero=cfg.secn_clamp,
-                             mark_next=cfg.secn_mark_next)
-        if kind == "slope":
-            return slope
-        return SlopeThresholdEcn(cfg.ecn_threshold_bytes, slope)
-
-    return factory
+    if kind == "taildrop":
+        return _TAILDROP
+    if kind == "threshold":
+        return ThresholdEcn(cfg.ecn_threshold_bytes)
+    slope = SlopeEcn(cfg.link_rate_bps)
+    if kind == "slope":
+        return slope
+    return SlopeThresholdEcn(cfg.ecn_threshold_bytes, slope)
 
 
 class Network:
     """Ports for every directed link plus per-pair port routes."""
 
-    def __init__(self, topo, engine, cfg: RunConfig, rng):
+    def __init__(self, topo, engine, cfg: RunConfig):
         self.topo = topo
         self.engine = engine
         self.ports = {}
         self._routes = {}
-        policy_factory = _make_policy(cfg, rng)
         hosts = set(topo.hosts)
         for link in topo.links:
             for a, b in ((link.a, link.b), (link.b, link.a)):
@@ -57,7 +46,7 @@ class Network:
                 if a in hosts:
                     buffer_limit, policy = None, None   # sender NIC
                 else:
-                    policy = policy_factory()
+                    policy = _make_policy(cfg)
                     if b == "root" and cfg.tor_uplink_buffer_bytes is not None:
                         buffer_limit = cfg.tor_uplink_buffer_bytes
                     else:
@@ -133,20 +122,15 @@ def run_simulation(cfg: RunConfig) -> RunResult:
 
     topo = paper_preset(cfg.link_rate_bps, cfg.prop_delay_ns, cfg.hop_proc_ns)
     engine = Engine()
-    net = Network(topo, engine, cfg, rng)
+    net = Network(topo, engine, cfg)
 
     if cfg.telemetry_mode != "off":
-        ineligible = {f.flow_id for f in flows if not f.telemetry_eligible}
-        eligible = None
-        if ineligible:
-            eligible = {f.flow_id for f in flows if f.telemetry_eligible}
         for port_id in cfg.telemetry_ports:
             port = net.ports.get(port_id)
             if port is None:
                 raise KeyError(f"telemetry port {port_id!r} not in topology")
             port.trace = PortTrace(port_id,
-                                   fidelity=(cfg.telemetry_mode == "fidelity"),
-                                   eligible_flows=eligible)
+                                   fidelity=(cfg.telemetry_mode == "fidelity"))
 
     params = TransportParams(mss=cfg.mss_bytes,
                              iw_packets=cfg.initial_window_packets,
@@ -174,9 +158,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         specs[spec.flow_id] = spec
         fwd = net.route(spec.src, spec.dst)
         back = net.route(spec.dst, spec.src)
-        pacing = cfg.pacing if spec.pacing is None else spec.pacing
         sender = Sender(spec.flow_id, algo, spec.size_bytes, fwd, engine,
-                        params, ecn_capable=ecn, pacing=pacing,
+                        params, ecn_capable=ecn, pacing=cfg.pacing,
                         on_complete=flow_done, annotate=spec.burst)
         receiver = Receiver(spec.flow_id, back, engine,
                             dctcp_echo=(algo == DCTCP))
@@ -223,10 +206,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                      queries=[(q, query_end[q.query_id]) for q in queries],
                      traces=traces, ports=port_stats,
                      first_ece_cut_ns=first_ece)
-
-
-def monitor_port_id(cfg: RunConfig) -> str:
-    return cfg.telemetry_ports[0] if cfg.telemetry_ports else DEFAULT_MONITOR_PORT
 
 
 def write_outputs(result: RunResult, out_dir: str) -> None:

@@ -51,7 +51,7 @@ class Sender:
                  "rtt_probe", "pace_next", "pace_timer",
                  "round", "round_end",
                  "start_ns", "end_ns", "done", "retransmits", "timeouts",
-                 "first_ece_cut_ns", "first_cut_ns", "on_complete")
+                 "first_ece_cut_ns", "on_complete")
 
     def __init__(self, flow_id, algo, total_bytes, route, engine, params,
                  ecn_capable, pacing=False, on_complete=None, annotate=True):
@@ -100,7 +100,6 @@ class Sender:
         self.retransmits = 0
         self.timeouts = 0
         self.first_ece_cut_ns = None
-        self.first_cut_ns = None
         self.on_complete = on_complete
 
     # -- state view ---------------------------------------------------------
@@ -242,10 +241,8 @@ class Sender:
         if self.cwnd > self.params.max_cwnd:
             self.cwnd = self.params.max_cwnd
 
-    def _note_cut(self, now, mark_induced):
-        if self.first_cut_ns is None:
-            self.first_cut_ns = now
-        if mark_induced and self.first_ece_cut_ns is None:
+    def _note_ece_cut(self, now):
+        if self.first_ece_cut_ns is None:
             self.first_ece_cut_ns = now
 
     def _ece_cut(self, now):
@@ -255,7 +252,7 @@ class Sender:
         self.ca_credit = 0
         self.cut_seq = self.next_seq   # one reduction per window
         self.cwr_pending = True
-        self._note_cut(now, mark_induced=True)
+        self._note_ece_cut(now)
 
     def _dctcp_window_boundary(self, now):
         if self.win_acked > 0:
@@ -266,7 +263,7 @@ class Sender:
                 self.cwnd = max(self.cwnd - int(self.cwnd * self.alpha / 2), mss)
                 self.ssthresh = max(self.cwnd, mss)
                 self.cwr_pending = True
-                self._note_cut(now, mark_induced=True)
+                self._note_ece_cut(now)
         self.win_acked = 0
         self.win_marked = 0
         self.win_end = self.next_seq
@@ -286,7 +283,6 @@ class Sender:
         self.cwnd = self.ssthresh + 3 * mss
         self.recover = self.next_seq
         self.in_recovery = True
-        self._note_cut(now, mark_induced=False)
 
     # -- RTT / RTO ------------------------------------------------------
 
@@ -332,7 +328,6 @@ class Sender:
         self.rto = min(self.rto * 2, RTO_MAX_NS)
         self.rto_deadline = now + self.rto
         self._send_available(now)
-        self._note_cut(now, mark_induced=False)
 
     # -- completion -------------------------------------------------------
 
@@ -358,7 +353,7 @@ class Receiver:
     """
 
     __slots__ = ("flow_id", "route", "engine", "dctcp_echo",
-                 "cum_ack", "segments", "sticky_ece", "packets_received")
+                 "cum_ack", "segments", "sticky_ece")
 
     def __init__(self, flow_id, route, engine, dctcp_echo):
         self.flow_id = flow_id
@@ -368,10 +363,8 @@ class Receiver:
         self.cum_ack = 0
         self.segments = {}
         self.sticky_ece = False
-        self.packets_received = 0
 
     def on_data(self, pkt, now):
-        self.packets_received += 1
         self.engine.stats.packets_delivered += 1
         if pkt.seq_lo <= self.cum_ack:
             if pkt.seq_hi > self.cum_ack:

@@ -29,10 +29,6 @@ def rate_time_to_bytes(rate_bps: int, dt_ns: int) -> int:
     return (rate_bps * dt_ns + 4 * NS_PER_S) // (8 * NS_PER_S)
 
 
-def bytes_per_sec(rate_bps: int) -> float:
-    return rate_bps / 8.0
-
-
 def slope_bps(dq_bytes: float, dt_ns: float) -> float:
     """Queue growth expressed as a bit rate."""
     return dq_bytes * 8.0 * NS_PER_S / dt_ns

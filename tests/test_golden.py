@@ -77,42 +77,42 @@ DIGESTS = {
         'flows.csv': 'c9a953f7f180a7ad64e1d90bf946255e3e2d1396f88c19948da8b826b5c9d3d4',
         'queries.csv': 'b8507e8e03ae1fd68412f5227ed90c61be7907efdbe73074161f478a3d95d0c3',
         'metrics.csv': 'fb54f5b969a6cdc882787f2f3d3f9f8747fd54e8d24f8e92da313202dca3c315',
-        'summary.txt': '32e15f9ebf59351ed4e7130f8fd526189aa2c4880e73e0e274ca8fa5299f9d94',
+        'summary.txt': '20cb9ba3e75c6ff248ae3e762055a4d22de159a6216080f003732286aabf530b',
     },
     'dctcp_sl_ecn_websearch': {
         'trace.csv': 'ecffad607cfcea769b46691bf71e54864c847059e2ca3e40e3c723263145b282',
         'flows.csv': 'a0fa995b1c5dacb1104c0b70de64bb543e45ef996578d744578693f08086d212',
         'queries.csv': '3317a7febc29094a7a828d3c112a05685e5cd0c139817af413f3a012ed1748b2',
         'metrics.csv': '34caa639e669f1fae86484d5905d6e4de114ee5d014877be7ceed05aee396a3b',
-        'summary.txt': '7dfea17f4a413e2101a644b5541e901d3ac53dd25e5a5aa9cdffed9a153875ab',
+        'summary.txt': '335a1b07abf78cb1073ff38209f5218e86b25e44b9b6bfadf89980e9bd45135d',
     },
     'ecn_star_fidelity': {
         'trace.csv': '5d8a69d713e95bb22827677cabccc2baecd0b35dfd8d9c5e7954fc25b1b5a589',
         'flows.csv': '5b3f3ba8368eb41d1b4ed7ad0c87b196deefd4bd27c073ed2d9c442fae40e97b',
         'queries.csv': None,
         'metrics.csv': 'dc8ef9d2af1306a57498d56200543feef79f730a9585284acd29e584eb63054a',
-        'summary.txt': '92f80de958bca24c4b8350b697eab13587e1adad8fdef94f189163e7fafa2241',
+        'summary.txt': 'e0311fe63ed9ececbf656828222e425aab85157a941368e2d53577f2bed594f3',
     },
     's_ecn_paced': {
         'trace.csv': '1bb918e5d6dd338d944d52e5adc9f9920cc38b576db78be43ebb54542e64c081',
         'flows.csv': 'e367f09ccda35d58626338b3adf40cc7826545db5bec8b7ea9cdf876d02afa14',
         'queries.csv': None,
         'metrics.csv': '447a72342abb60446d909a851aa0e4020e138b7d3d4e9ca83960ed294c1868f6',
-        'summary.txt': 'a7ac192ddddc90d49681088600c721f403b5bdc2a1eea825ae2f201b92bc3089',
+        'summary.txt': '0c3157e69353dc77fce712d76fdf47a7df971627d44c69812107597e4b6dc6ac',
     },
     'sl_ecn_one_background': {
         'trace.csv': '736454cc5417c2ba30ecffba9bb60af89549799b6aa37b095d6028e7834ef35f',
         'flows.csv': '7f1fa84e0ea80d0a41ddc1e4fdef556368c89be2f2313d45a570601df68470e5',
         'queries.csv': None,
         'metrics.csv': 'b2b6a7db866bd685663b38c1a2d6d16dc300cc6cc961ca843a5e180b7d35094c',
-        'summary.txt': '012d20a28f99d48c45799e6575a13c76e33d897dabf6358132fa6f4660ea0105',
+        'summary.txt': '38cc4930691aa1b718f9448760b23b189a494932c3f2c87b2beb14024a66caf7',
     },
     'tcp_fanin_drops': {
         'trace.csv': 'ea30dd894ace811f6e00eb6cc272875926ae37069976befc7b8840e1fed71dc6',
         'flows.csv': '1797310be20dbb203ee0d577079c3d6c2fa7ff17e8da9d2b4d8943e0ae8210fe',
         'queries.csv': None,
         'metrics.csv': '091c2c80836aed5c92c153fe7687ccd0c7efcca6bab3719a69bc3331c57f1a94',
-        'summary.txt': '62fcb6927b9597b44927e6a1d1ef24b3b51b8c0fcaa7c4c67a1e318012981a52',
+        'summary.txt': '79c82833a9db9aeea1c6634940321ed16cd02b0f8b4c29cc338c742becbd6867',
     },
 }
 

@@ -110,24 +110,6 @@ def test_saturation_all_but_bounded_prefix():
     assert marks >= n - 5
 
 
-def test_literal_running_sum_undershoots_at_double_rate():
-    # with the bare running sum (reset to zero on mark) a 2x-rate stream
-    # marks every other packet
-    n = 10_000
-    marks = run_policy(SlopeEcn(R, carry_remainder=False), constant_stream(2.0, n))
-    assert abs(marks / n - 0.5) <= 0.05
-
-
-def test_mark_next_shifts_decision_by_one():
-    arrivals = constant_stream(2.0, 50)
-    base = SlopeEcn(R)
-    now_marks = [bool(base.decide(0, s, t)) for s, t in arrivals]
-    nxt = SlopeEcn(R, mark_next=True)
-    next_marks = [bool(nxt.decide(0, s, t)) for s, t in arrivals]
-    assert next_marks[1:] == now_marks[:-1]
-    assert next_marks[0] is False
-
-
 def test_simultaneous_arrival_marks():
     policy = SlopeEcn(R)
     assert policy.decide(0, MSS, 1_000) is False

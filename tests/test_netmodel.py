@@ -124,17 +124,17 @@ def test_trace_records_pre_admission_queue():
     assert rows[1][1] == 1500     # queue before second packet
 
 
-def test_trace_ineligible_flow_not_stamped():
+def test_trace_stamps_data_but_not_acks():
     engine = Engine()
     sink = []
     port = make_port(engine, sink)
-    port.trace = PortTrace("p", eligible_flows={1})
+    port.trace = PortTrace("p")
     pkt = data_pkt(flow=0)
     port.enqueue(pkt, 0)
-    assert pkt.telemetry_stamp is None
-    pkt2 = data_pkt(flow=1)
-    port.enqueue(pkt2, 0)
-    assert pkt2.telemetry_stamp is not None
+    assert pkt.telemetry_stamp == (0, 0)
+    ack = Packet(1, ACK, 64, ())
+    port.enqueue(ack, 0)
+    assert ack.telemetry_stamp is None
 
 
 def test_acks_share_queue_and_are_droppable():
