@@ -7,14 +7,16 @@ write its CSV outputs, or run one of the named acceptance checks.
 """
 
 import argparse
+import copy
 import os
+import random
 import sys
 
 import yaml
 
 from .checks import CHECKS, run_check
 from .config import ConfigError, config_from_dict
-from .scenarios import InvalidParam
+from .scenarios import InvalidParam, build_schedule
 from .sim import run_simulation, write_outputs
 
 EXIT_OK = 0
@@ -30,44 +32,42 @@ def _apply_sweep_value(raw: dict, dotted: str, value):
     node[keys[-1]] = value
 
 
-def _run_one(raw: dict, out_dir: str, seed_override):
-    if seed_override is not None:
-        raw = dict(raw)
-        raw["seed"] = seed_override
+def _plan(raw, out_dir):
+    """(config, output directory) of every run the file asks for: one, or
+    one per sweep value in a subdirectory named after the swept field."""
     cfg = config_from_dict(raw)
-    result = run_simulation(cfg)
-    write_outputs(result, out_dir)
-    return result
+    if not cfg.sweep:
+        return [(cfg, out_dir)]
+    param = cfg.sweep["param"]
+    base = {k: v for k, v in raw.items() if k != "sweep"}
+    plan = []
+    for value in cfg.sweep["values"]:
+        point = copy.deepcopy(base)
+        _apply_sweep_value(point, param, value)
+        plan.append((config_from_dict(point),
+                     os.path.join(out_dir, f"{param.split('.')[-1]}={value}")))
+    return plan
 
 
 def cmd_run(args) -> int:
+    # every point's config and schedule are checked before the first run,
+    # so a bad sweep value leaves no partial output behind
     try:
         with open(args.config) as fh:
             raw = yaml.safe_load(fh)
-        cfg = config_from_dict(raw)   # validate before any run
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, InvalidParam, yaml.YAMLError) as exc:
+        if args.seed is not None and isinstance(raw, dict):
+            raw = dict(raw, seed=args.seed)
+        plan = _plan(raw, args.out)
+        for cfg, _ in plan:
+            build_schedule(cfg.scenario, random.Random(cfg.seed),
+                           cfg.link_rate_bps)
+    except (OSError, ConfigError, InvalidParam, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if cfg.sweep:
-            param = cfg.sweep["param"]
-            raw.pop("sweep", None)
-            for value in cfg.sweep["values"]:
-                point = {k: (dict(v) if isinstance(v, dict) else v)
-                         for k, v in raw.items()}
-                _apply_sweep_value(point, param, value)
-                sub = os.path.join(args.out, f"{param.split('.')[-1]}={value}")
-                _run_one(point, sub, args.seed)
-                print(f"wrote {sub}")
-        else:
-            _run_one(raw, args.out, args.seed)
-            print(f"wrote {args.out}")
-    except (ConfigError, InvalidParam) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        for cfg, out_dir in plan:
+            write_outputs(run_simulation(cfg), out_dir)
+            print(f"wrote {out_dir}")
     except Exception as exc:   # simulation failure is an internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import yaml
 
+from .topology import paper_preset
 from .transport import NEWRENO, DCTCP
 from .units import GBPS
 
@@ -40,6 +41,24 @@ PROTOCOLS = {
 TELEMETRY_MODES = ("exact", "fidelity", "off")
 
 DEFAULT_MONITOR_PORT = "root->t4"
+
+# output ports of the 12-host preset; their names do not depend on rates
+PRESET_PORTS = frozenset(paper_preset().port_ids())
+
+# fields that count something and so must be integers >= the given minimum
+_COUNTS = {"duration_ns": 0, "link_rate_bps": 1, "prop_delay_ns": 0,
+           "hop_proc_ns": 0, "buffer_bytes": 0, "ecn_threshold_bytes": 0,
+           "mss_bytes": 1, "initial_window_packets": 1, "max_cwnd_packets": 1,
+           "rto_min_ns": 0, "initial_rtt_ns": 0, "stddev_after_ns": 0,
+           "drain_grace_ns": 0}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -78,9 +97,9 @@ class RunConfig:
     sweep: dict = None             # optional {param: dotted.path, values: [...]}
 
     def validate(self):
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError("seed", "seed is mandatory and must be an integer")
-        if self.protocol not in PROTOCOLS:
+        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
             raise ConfigError("protocol",
                               f"unknown protocol {self.protocol!r}; "
                               f"choose one of {', '.join(PROTOCOLS)}")
@@ -89,20 +108,39 @@ class RunConfig:
         if self.telemetry_mode not in TELEMETRY_MODES:
             raise ConfigError("telemetry.mode",
                               f"must be one of {TELEMETRY_MODES}")
-        for name, value in (("duration_ns", self.duration_ns),
-                            ("link_rate_bps", self.link_rate_bps),
-                            ("buffer_bytes", self.buffer_bytes),
-                            ("ecn_threshold_bytes", self.ecn_threshold_bytes),
-                            ("mss_bytes", self.mss_bytes),
-                            ("rto_min_ns", self.rto_min_ns)):
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(name, f"must be a non-negative integer, got {value!r}")
-        if self.link_rate_bps <= 0:
-            raise ConfigError("link_rate_bps", "must be positive")
-        if not 0 < self.dctcp_gain <= 1:
-            raise ConfigError("transport.dctcp_gain", "must be in (0, 1]")
-        if not 0 <= self.dctcp_alpha0 <= 1:
-            raise ConfigError("transport.dctcp_alpha0", "must be in [0, 1]")
+        for name, minimum in _COUNTS.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < minimum:
+                raise ConfigError(_FIELD_PATHS[name],
+                                  f"must be an integer >= {minimum}, got {value!r}")
+        # a buffer smaller than one segment can never admit a full one
+        mss = self.mss_bytes
+        if self.buffer_bytes < mss:
+            raise ConfigError("network.buffer_bytes",
+                              f"must be >= mss_bytes ({mss}), "
+                              f"got {self.buffer_bytes!r}")
+        uplink = self.tor_uplink_buffer_bytes
+        if uplink is not None and (not _is_int(uplink) or uplink < mss):
+            raise ConfigError("network.tor_uplink_buffer_bytes",
+                              f"must be null or an integer >= mss_bytes "
+                              f"({mss}), got {uplink!r}")
+        if not _is_number(self.dctcp_gain) or not 0 < self.dctcp_gain <= 1:
+            raise ConfigError("transport.dctcp_gain",
+                              f"must be a number in (0, 1], got {self.dctcp_gain!r}")
+        if not _is_number(self.dctcp_alpha0) or not 0 <= self.dctcp_alpha0 <= 1:
+            raise ConfigError("transport.dctcp_alpha0",
+                              f"must be a number in [0, 1], got {self.dctcp_alpha0!r}")
+        if not isinstance(self.pacing, bool):
+            raise ConfigError("transport.pacing",
+                              f"must be true or false, got {self.pacing!r}")
+        if not isinstance(self.telemetry_ports, list):
+            raise ConfigError("telemetry.ports", "must be a list of port names")
+        for port in self.telemetry_ports:
+            if not isinstance(port, str) or port not in PRESET_PORTS:
+                raise ConfigError("telemetry.ports",
+                                  f"no port {port!r} in the preset topology; "
+                                  f"names are '<node>-><node>', e.g. "
+                                  f"{DEFAULT_MONITOR_PORT!r}")
         kind = self.scenario.get("kind")
         if kind == "websearch":
             load = self.scenario.get("load")
@@ -110,8 +148,11 @@ class RunConfig:
                 raise ConfigError("scenario.load",
                                   f"must be in (0,1), got {load!r}")
         if self.sweep is not None:
-            if "param" not in self.sweep or "values" not in self.sweep:
-                raise ConfigError("sweep", "needs 'param' and 'values'")
+            if (not isinstance(self.sweep, dict)
+                    or not isinstance(self.sweep.get("param"), str)
+                    or not isinstance(self.sweep.get("values"), list)):
+                raise ConfigError("sweep", "needs a 'param' name and a "
+                                  "list of 'values'")
         return self
 
     def host_algorithm(self):
@@ -139,6 +180,11 @@ _SECTIONS = {
 }
 
 _TOP_KEYS = {"seed", "protocol", "scenario", "duration_ns", "sweep"} | set(_SECTIONS)
+
+# RunConfig field -> its dotted path in the YAML file, for error messages
+_FIELD_PATHS = {name: f"{section}.{name}"
+                for section, names in _SECTIONS.items() for name in names}
+_FIELD_PATHS["duration_ns"] = "duration_ns"
 
 
 def config_from_dict(raw: dict) -> RunConfig:

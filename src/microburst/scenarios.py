@@ -253,6 +253,9 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     """
     if not 0 < load < 1:
         raise InvalidParam(f"scenario.load: must be in (0,1), got {load}")
+    if not 0 < query_fraction < 1:
+        raise InvalidParam("scenario.query_fraction: must be in (0,1), "
+                           f"got {query_fraction}")
     if duration_ns <= 0:
         raise InvalidParam("scenario.duration_ns: must be > 0")
     cdf = cdf or load_size_cdf()

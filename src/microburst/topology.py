@@ -38,6 +38,11 @@ class Topology:
             self.neighbors.setdefault(link.a, {})[link.b] = link
             self.neighbors.setdefault(link.b, {})[link.a] = link
 
+    def port_ids(self):
+        """Output port names, one per link direction: "<from>-><to>"."""
+        return [f"{a}->{b}" for link in self.links
+                for a, b in ((link.a, link.b), (link.b, link.a))]
+
     def validate(self):
         names = set(self.hosts) | set(self.switches)
         for link in self.links:

@@ -93,6 +93,47 @@ def test_missing_seed_exits_two(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("telemetry", "ports", ["root->h99"], "telemetry.ports"),
+    ("transport", "dctcp_gain", "0.1", "transport.dctcp_gain"),
+    ("transport", "dctcp_alpha0", "1", "transport.dctcp_alpha0"),
+    ("network", "tor_uplink_buffer_bytes", -5, "network.tor_uplink_buffer_bytes"),
+    ("transport", "max_cwnd_packets", 0, "transport.max_cwnd_packets"),
+    ("transport", "initial_window_packets", 0, "transport.initial_window_packets"),
+    ("transport", "mss_bytes", 0, "transport.mss_bytes"),
+    ("switch", "secn_clamp", False, "switch.secn_clamp"),
+    ("switch", "secn_exact_fraction", False, "switch.secn_exact_fraction"),
+    ("switch", "secn_mark_next", True, "switch.secn_mark_next"),
+    ("switch", "secn_random_engine", True, "switch.secn_random_engine"),
+    ("scenario", "query_fraction", 1, "scenario.query_fraction"),
+])
+def test_bad_value_exits_two_before_any_output(tmp_path, capsys, section, key,
+                                               value, field):
+    raw = dict(GOOD_CONFIG)
+    if section == "scenario":
+        raw["scenario"] = dict(WEBSEARCH, **{key: value})
+    else:
+        raw[section] = {key: value}
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_with_bad_point_exits_two_and_writes_nothing(tmp_path, capsys):
+    raw = dict(GOOD_CONFIG)
+    raw["sweep"] = {"param": "scenario.n", "values": [2, 0, 4]}
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "sweep"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert "scenario.n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_creates_one_subdirectory_per_point(tmp_path):
     raw = dict(GOOD_CONFIG)
     raw["scenario"] = dict(raw["scenario"])
