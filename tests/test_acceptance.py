@@ -4,6 +4,8 @@ exercise the same experiments.  Criterion 10 (workload) runs twenty
 10-second simulations and dominates the suite's runtime (~3-4 minutes).
 """
 
+import pytest
+
 import microburst.checks as checks
 
 
@@ -60,5 +62,6 @@ def test_criterion_12_determinism():
     report(checks.check_determinism())
 
 
+@pytest.mark.slow
 def test_criterion_10_workload_improvement():
     report(checks.check_workload())
