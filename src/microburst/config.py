@@ -111,7 +111,7 @@ class RunConfig:
         for name, minimum in _COUNTS.items():
             value = getattr(self, name)
             if not _is_int(value) or value < minimum:
-                raise ConfigError(_FIELD_PATHS[name],
+                raise ConfigError(_FIELD_PATHS.get(name, name),
                                   f"must be an integer >= {minimum}, got {value!r}")
         # a buffer smaller than one segment can never admit a full one
         mss = self.mss_bytes
@@ -181,10 +181,9 @@ _SECTIONS = {
 
 _TOP_KEYS = {"seed", "protocol", "scenario", "duration_ns", "sweep"} | set(_SECTIONS)
 
-# RunConfig field -> its dotted path in the YAML file, for error messages
+# sectioned RunConfig field -> its dotted path in the YAML file
 _FIELD_PATHS = {name: f"{section}.{name}"
                 for section, names in _SECTIONS.items() for name in names}
-_FIELD_PATHS["duration_ns"] = "duration_ns"
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -24,18 +24,17 @@ class TransportParams:
     """Per-run transport knobs shared by all flows."""
 
     __slots__ = ("mss", "iw_packets", "max_cwnd", "rto_min_ns", "dctcp_gain",
-                 "dctcp_alpha0", "pacing", "initial_rtt_ns")
+                 "dctcp_alpha0", "initial_rtt_ns")
 
     def __init__(self, mss=1500, iw_packets=3, max_cwnd_packets=64,
                  rto_min_ns=10_000_000, dctcp_gain=0.125, dctcp_alpha0=1.0,
-                 pacing=False, initial_rtt_ns=50_000):
+                 initial_rtt_ns=50_000):
         self.mss = mss
         self.iw_packets = iw_packets
         self.max_cwnd = max_cwnd_packets * mss
         self.rto_min_ns = rto_min_ns
         self.dctcp_gain = dctcp_gain
         self.dctcp_alpha0 = dctcp_alpha0
-        self.pacing = pacing
         self.initial_rtt_ns = initial_rtt_ns
 
 
