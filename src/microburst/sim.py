@@ -125,12 +125,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     net = Network(topo, engine, cfg)
 
     if cfg.telemetry_mode != "off":
-        for port_id in cfg.telemetry_ports:
-            port = net.ports.get(port_id)
-            if port is None:
-                raise KeyError(f"telemetry port {port_id!r} not in topology")
-            port.trace = PortTrace(port_id,
-                                   fidelity=(cfg.telemetry_mode == "fidelity"))
+        for port_id in cfg.telemetry_ports:   # names checked by validate
+            net.ports[port_id].trace = PortTrace(
+                port_id, fidelity=(cfg.telemetry_mode == "fidelity"))
 
     params = TransportParams(mss=cfg.mss_bytes,
                              iw_packets=cfg.initial_window_packets,
