@@ -1,11 +1,18 @@
-"""Shared test harness: a minimal one-link network for transport tests."""
+"""Shared test harness: a minimal one-link network for transport tests,
+and the hypothesis profile every test runs under."""
 
 import pytest
+from hypothesis import settings
 
 from microburst.engine import Engine
 from microburst.netmodel import Port
 from microburst.packets import DATA
 from microburst.transport import Receiver, Sender, TransportParams
+
+# the same examples on every run, so a failing one reproduces on rerun
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 class OneLink:

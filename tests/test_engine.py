@@ -1,4 +1,7 @@
+import heapq
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microburst.engine import Engine, SchedulingInPast
 
@@ -97,3 +100,111 @@ def test_dispatch_is_total_order():
     times = [t for t, _ in order]
     assert times == sorted(times)
     assert order[0][1] == 1 and order[1][1] == 2
+
+
+def test_pre_run_event_beats_same_time_event_scheduled_in_loop():
+    eng = Engine()
+    fired = []
+
+    def early(t, a):
+        fired.append("early")
+        eng.schedule(10, lambda t2, a2: fired.append("in-loop"))
+
+    eng.schedule(10, lambda t, a: fired.append("pre-run"))
+    eng.schedule(5, early)
+    eng.run_until(100)
+    assert fired == ["early", "pre-run", "in-loop"]
+
+
+def test_event_scheduled_between_run_until_calls():
+    eng = Engine()
+    fired = []
+    eng.schedule(10, lambda t, a: fired.append((t, "a")))
+    eng.schedule(30, lambda t, a: fired.append((t, "b")))
+    eng.run_until(15)
+    eng.schedule(30, lambda t, a: fired.append((t, "d")))
+    eng.schedule(20, lambda t, a: fired.append((t, "c")))
+    eng.run_until(15)
+    assert fired == [(10, "a")]
+    eng.run_until(100)
+    assert fired == [(10, "a"), (20, "c"), (30, "b"), (30, "d")]
+    assert eng.stats.events_dispatched == 4
+
+
+class HeapOnlyEngine(Engine):
+    """Reference: every pending event in one heap, popped in (time, seq)
+    order."""
+
+    def run_until(self, t_end_ns):
+        heap = self._heap
+        stats = self.stats
+        n = 0
+        while heap and heap[0][0] <= t_end_ns:
+            entry = heapq.heappop(heap)
+            t, _, fn, arg = entry
+            if fn is None:
+                continue
+            entry[2] = None
+            self.now = t
+            n += 1
+            fn(t, arg)
+        stats.events_dispatched += n
+        self.last_dispatch_ns = self.now
+        if t_end_ns > self.now:
+            self.now = t_end_ns
+        return stats
+
+
+# ("schedule", delay from now) or ("cancel", index into the handles made)
+_ACTION = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 40)),
+                    st.tuples(st.just("cancel"), st.integers(0, 1000)))
+
+_PROGRAM = st.fixed_dictionaries({
+    "pre_run": st.lists(st.integers(0, 100), max_size=30),
+    # the actions the event labelled k performs when it fires
+    "reactions": st.lists(st.lists(_ACTION, max_size=3), max_size=80),
+    # (horizon increment, actions taken after that run_until returns)
+    "steps": st.lists(st.tuples(st.integers(0, 60),
+                                st.lists(_ACTION, max_size=4)),
+                      min_size=1, max_size=5),
+})
+
+
+def _replay(engine_cls, program):
+    """Run one program; returns its log of dispatches and cancel results."""
+    eng = engine_cls()
+    handles = []
+    log = []
+
+    def act(action):
+        kind, value = action
+        if kind == "schedule":
+            label = len(handles)
+            handles.append(eng.schedule(eng.now + value, fire, label))
+        elif handles:
+            index = value % len(handles)
+            log.append(("cancel", index, eng.cancel(handles[index])))
+
+    def fire(t, label):
+        log.append(("fire", t, label))
+        if label < len(program["reactions"]):
+            for action in program["reactions"][label]:
+                act(action)
+
+    for t in program["pre_run"]:
+        handles.append(eng.schedule(t, fire, len(handles)))
+    horizon = 0
+    for increment, actions in program["steps"]:
+        horizon += increment
+        eng.run_until(horizon)
+        log.append(("now", eng.now, eng.last_dispatch_ns))
+        for action in actions:
+            act(action)
+    eng.run_until(1 << 40)
+    return log, eng.stats.events_dispatched
+
+
+@settings(max_examples=200)
+@given(_PROGRAM)
+def test_backlog_merge_matches_heap_only_engine(program):
+    assert _replay(Engine, program) == _replay(HeapOnlyEngine, program)
