@@ -179,7 +179,14 @@ _SECTIONS = {
     "metrics": ("stddev_after_ns", "drain_grace_ns"),
 }
 
-_TOP_KEYS = {"seed", "protocol", "scenario", "duration_ns", "sweep"} | set(_SECTIONS)
+_TOP_FIELDS = ("seed", "protocol", "scenario", "duration_ns", "sweep")
+_TOP_KEYS = set(_TOP_FIELDS) | set(_SECTIONS)
+
+
+def _field_name(section, name):
+    """The RunConfig field a sectioned YAML key sets."""
+    return f"telemetry_{name}" if section == "telemetry" else name
+
 
 # sectioned RunConfig field -> its dotted path in the YAML file
 _FIELD_PATHS = {name: f"{section}.{name}"
@@ -193,7 +200,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key not in _TOP_KEYS:
             raise ConfigError(key, "unknown config key")
     kwargs = {}
-    for key in ("seed", "protocol", "scenario", "duration_ns", "sweep"):
+    for key in _TOP_FIELDS:
         if key in raw:
             kwargs[key] = raw[key]
     for section, names in _SECTIONS.items():
@@ -205,11 +212,7 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ConfigError(f"{section}.{key}", "unknown config key")
         for name in names:
             if name in sub:
-                if section == "telemetry":
-                    kwargs["telemetry_mode" if name == "mode"
-                           else "telemetry_ports"] = sub[name]
-                else:
-                    kwargs[name] = sub[name]
+                kwargs[_field_name(section, name)] = sub[name]
     if "seed" not in kwargs:
         raise ConfigError("seed", "seed is mandatory")
     if "protocol" not in kwargs:
@@ -233,4 +236,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def effective_yaml(cfg: RunConfig) -> str:
-    return yaml.safe_dump(cfg.to_dict(), sort_keys=True, default_flow_style=False)
+    """``cfg`` in the sectioned schema, so ``config_from_dict`` loads it back."""
+    flat = cfg.to_dict()
+    raw = {key: flat[key] for key in _TOP_FIELDS}
+    for section, names in _SECTIONS.items():
+        raw[section] = {name: flat[_field_name(section, name)]
+                        for name in names}
+    return yaml.safe_dump(raw, sort_keys=True, default_flow_style=False)

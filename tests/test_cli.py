@@ -69,6 +69,20 @@ def test_summary_echoes_effective_config(tmp_path):
     assert "ecn_threshold_bytes: 32000" in text   # default echoed back
 
 
+def test_effective_config_in_summary_reproduces_the_run(tmp_path):
+    cfg = write_config(tmp_path, GOOD_CONFIG)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", cfg, "--out", str(a)]) == 0
+    text = (a / "summary.txt").read_text()
+    block = text.split("# effective configuration\n")[1]
+    block = block.split("\n# run summary")[0]
+    again = tmp_path / "effective.yaml"
+    again.write_text(block)
+    assert main(["run", str(again), "--out", str(b)]) == 0
+    for name in ("trace.csv", "metrics.csv", "flows.csv", "summary.txt"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_malformed_load_exits_two_and_names_field(tmp_path, capsys):
     raw = {"seed": 1, "protocol": "DCTCP",
            "scenario": {"kind": "websearch", "load": 1.5,

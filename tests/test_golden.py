@@ -21,6 +21,7 @@ import pytest
 import yaml
 
 from microburst.cli import main
+from microburst.config import config_from_dict, effective_yaml
 
 FILES = ("trace.csv", "flows.csv", "queries.csv", "metrics.csv", "summary.txt")
 
@@ -77,42 +78,42 @@ DIGESTS = {
         'flows.csv': 'c9a953f7f180a7ad64e1d90bf946255e3e2d1396f88c19948da8b826b5c9d3d4',
         'queries.csv': 'b8507e8e03ae1fd68412f5227ed90c61be7907efdbe73074161f478a3d95d0c3',
         'metrics.csv': 'fb54f5b969a6cdc882787f2f3d3f9f8747fd54e8d24f8e92da313202dca3c315',
-        'summary.txt': '20cb9ba3e75c6ff248ae3e762055a4d22de159a6216080f003732286aabf530b',
+        'summary.txt': 'c3f5d7026f82ae2c903517d9754e657bf71eb2ed8584d3db1ff30ffee84280c5',
     },
     'dctcp_sl_ecn_websearch': {
         'trace.csv': 'ecffad607cfcea769b46691bf71e54864c847059e2ca3e40e3c723263145b282',
         'flows.csv': 'a0fa995b1c5dacb1104c0b70de64bb543e45ef996578d744578693f08086d212',
         'queries.csv': '3317a7febc29094a7a828d3c112a05685e5cd0c139817af413f3a012ed1748b2',
         'metrics.csv': '34caa639e669f1fae86484d5905d6e4de114ee5d014877be7ceed05aee396a3b',
-        'summary.txt': '335a1b07abf78cb1073ff38209f5218e86b25e44b9b6bfadf89980e9bd45135d',
+        'summary.txt': '95189b5581b6c8466a3fc506fd71eb4914865871e0ba022fcd33995d97098385',
     },
     'ecn_star_fidelity': {
         'trace.csv': '5d8a69d713e95bb22827677cabccc2baecd0b35dfd8d9c5e7954fc25b1b5a589',
         'flows.csv': '5b3f3ba8368eb41d1b4ed7ad0c87b196deefd4bd27c073ed2d9c442fae40e97b',
         'queries.csv': None,
         'metrics.csv': 'dc8ef9d2af1306a57498d56200543feef79f730a9585284acd29e584eb63054a',
-        'summary.txt': 'e0311fe63ed9ececbf656828222e425aab85157a941368e2d53577f2bed594f3',
+        'summary.txt': '9e37c0874a4e34568575e50b2d95302e3bfcd5d561c35be76e1744f5ccf4623d',
     },
     's_ecn_paced': {
         'trace.csv': '1bb918e5d6dd338d944d52e5adc9f9920cc38b576db78be43ebb54542e64c081',
         'flows.csv': 'e367f09ccda35d58626338b3adf40cc7826545db5bec8b7ea9cdf876d02afa14',
         'queries.csv': None,
         'metrics.csv': '447a72342abb60446d909a851aa0e4020e138b7d3d4e9ca83960ed294c1868f6',
-        'summary.txt': '0c3157e69353dc77fce712d76fdf47a7df971627d44c69812107597e4b6dc6ac',
+        'summary.txt': 'c0f698f3c3b1099d462771ca47236e1edd8e2be66310bd406769ca8adce796d6',
     },
     'sl_ecn_one_background': {
         'trace.csv': '736454cc5417c2ba30ecffba9bb60af89549799b6aa37b095d6028e7834ef35f',
         'flows.csv': '7f1fa84e0ea80d0a41ddc1e4fdef556368c89be2f2313d45a570601df68470e5',
         'queries.csv': None,
         'metrics.csv': 'b2b6a7db866bd685663b38c1a2d6d16dc300cc6cc961ca843a5e180b7d35094c',
-        'summary.txt': '38cc4930691aa1b718f9448760b23b189a494932c3f2c87b2beb14024a66caf7',
+        'summary.txt': '2ce18e27fffb8d457f180fe301abd0d670f5fc68391b8b072c6f25d6269323b9',
     },
     'tcp_fanin_drops': {
         'trace.csv': 'ea30dd894ace811f6e00eb6cc272875926ae37069976befc7b8840e1fed71dc6',
         'flows.csv': '1797310be20dbb203ee0d577079c3d6c2fa7ff17e8da9d2b4d8943e0ae8210fe',
         'queries.csv': None,
         'metrics.csv': '091c2c80836aed5c92c153fe7687ccd0c7efcca6bab3719a69bc3331c57f1a94',
-        'summary.txt': '79c82833a9db9aeea1c6634940321ed16cd02b0f8b4c29cc338c742becbd6867',
+        'summary.txt': '9af7fce5adf797462b91743cb3d3d7da09640dbc7534b9c12671bce5c7317d43',
     },
 }
 
@@ -143,6 +144,12 @@ def test_outputs_match_golden_digests(name, tmp_path):
     got = run_digests(name, str(tmp_path))
     changed = [f for f in FILES if got[f] != DIGESTS[name][f]]
     assert not changed, f"{name}: output bytes changed in {changed}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_effective_config_loads_back(name):
+    cfg = config_from_dict(CASES[name])
+    assert config_from_dict(yaml.safe_load(effective_yaml(cfg))) == cfg
 
 
 if __name__ == "__main__":
