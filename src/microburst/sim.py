@@ -1,6 +1,6 @@
 """Assembles one run: topology -> ports, schedule -> flows, then the event
-loop; collects traces, flow records, and query completions, and writes the
-CSV outputs."""
+loop; audits the end state, collects traces, flow records, and query
+completions, and writes the CSV outputs."""
 
 import os
 import random
@@ -115,6 +115,25 @@ def _start_flow(now, sender):
     sender.start(now)
 
 
+class AuditError(Exception):
+    """An end-of-run invariant does not hold; the message names where."""
+
+
+def _audit(net, flows):
+    """Byte conservation on every port, and no flow delivered past its size."""
+    for port_id, port in net.ports.items():
+        if not port.conservation_ok():
+            raise AuditError(
+                f"port {port_id}: bytes_in {port.bytes_in} != bytes_out "
+                f"{port.bytes_out} + queue_bytes {port.queue_bytes}")
+    for spec in flows:
+        delivered = net.receivers[spec.flow_id].cum_ack
+        if delivered > spec.size_bytes:
+            raise AuditError(
+                f"flow {spec.flow_id}: delivered_bytes {delivered} > "
+                f"size_bytes {spec.size_bytes}")
+
+
 def run_simulation(cfg: RunConfig) -> RunResult:
     cfg.validate()
     rng = random.Random(cfg.seed)
@@ -171,6 +190,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     else:
         summary = engine.run_until(1 << 62)   # drains the event set
         end_ns = engine.last_dispatch_ns
+    _audit(net, flows)
 
     records = []
     first_ece = None
@@ -182,7 +202,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             size_bytes=spec.size_bytes, start_ns=spec.start_ns,
             end_ns=sender.end_ns, retransmits=sender.retransmits,
             timeouts=sender.timeouts,
-            delivered_bytes=min(receiver.cum_ack, spec.size_bytes),
+            delivered_bytes=receiver.cum_ack,
             first_ece_cut_ns=sender.first_ece_cut_ns,
             query_id=spec.query_id))
         cut = sender.first_ece_cut_ns

@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from microburst.cli import main
+from microburst.netmodel import Port
 
 GOOD_CONFIG = {
     "seed": 5,
@@ -81,6 +82,24 @@ def test_effective_config_in_summary_reproduces_the_run(tmp_path):
     assert main(["run", str(again), "--out", str(b)]) == 0
     for name in ("trace.csv", "metrics.csv", "flows.csv", "summary.txt"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_failed_audit_exits_one_and_names_port(tmp_path, capsys,
+                                               monkeypatch):
+    enqueue = Port.enqueue
+
+    def miscounting_enqueue(self, pkt, now):
+        verdict = enqueue(self, pkt, now)
+        if self.port_id == "root->t4":
+            self.bytes_in += 1
+        return verdict
+
+    monkeypatch.setattr(Port, "enqueue", miscounting_enqueue)
+    cfg = write_config(tmp_path, GOOD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert "port root->t4: bytes_in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_load_exits_two_and_names_field(tmp_path, capsys):

@@ -1,8 +1,13 @@
 """End-to-end runs on the 12-host preset: timing ground truths, byte
 conservation, determinism, telemetry modes."""
 
+import pytest
+
 from microburst.config import RunConfig
-from microburst.sim import run_simulation
+from microburst.engine import Engine
+from microburst.netmodel import Port
+from microburst.sim import AuditError, run_simulation
+from microburst.transport import Receiver
 
 MSS = 1500
 
@@ -59,6 +64,42 @@ def test_byte_conservation_on_every_port():
     res = run_sync(18)
     for pid, snap in res.ports.items():
         assert snap["bytes_in"] == snap["bytes_out"] + snap["queue_bytes"], pid
+
+
+def test_audit_names_port_that_loses_bytes(monkeypatch):
+    enqueue = Port.enqueue
+
+    def miscounting_enqueue(self, pkt, now):
+        verdict = enqueue(self, pkt, now)
+        if self.port_id == "root->t4":
+            self.bytes_in += 1
+        return verdict
+
+    monkeypatch.setattr(Port, "enqueue", miscounting_enqueue)
+    with pytest.raises(AuditError, match=r"^port root->t4: bytes_in"):
+        run_sync(4)
+
+
+def test_audit_names_flow_delivered_past_its_size(monkeypatch):
+    receivers = []
+    init, run_until = Receiver.__init__, Engine.run_until
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        receivers.append(self)
+
+    def overcounting_run_until(self, t_end_ns):
+        summary = run_until(self, t_end_ns)
+        receivers[2].cum_ack += 1_000_000
+        return summary
+
+    monkeypatch.setattr(Receiver, "__init__", recording_init)
+    monkeypatch.setattr(Engine, "run_until", overcounting_run_until)
+    with pytest.raises(AuditError) as err:
+        run_sync(4)
+    assert str(err.value).startswith(
+        f"flow {receivers[2].flow_id}: delivered_bytes 1300000 > "
+        f"size_bytes 1000000")
 
 
 def test_deterministic_replay_same_seed():
