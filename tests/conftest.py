@@ -46,3 +46,17 @@ class OneLink:
 @pytest.fixture
 def one_link():
     return OneLink
+
+
+@pytest.fixture
+def leaky_root_port(monkeypatch):
+    """Make port root->t4 count one byte more in than it admits."""
+    enqueue = Port.enqueue
+
+    def miscounting_enqueue(self, pkt, now):
+        verdict = enqueue(self, pkt, now)
+        if self.port_id == "root->t4":
+            self.bytes_in += 1
+        return verdict
+
+    monkeypatch.setattr(Port, "enqueue", miscounting_enqueue)

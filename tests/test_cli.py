@@ -4,7 +4,6 @@ import pytest
 import yaml
 
 from microburst.cli import main
-from microburst.netmodel import Port
 
 GOOD_CONFIG = {
     "seed": 5,
@@ -85,16 +84,7 @@ def test_effective_config_in_summary_reproduces_the_run(tmp_path):
 
 
 def test_failed_audit_exits_one_and_names_port(tmp_path, capsys,
-                                               monkeypatch):
-    enqueue = Port.enqueue
-
-    def miscounting_enqueue(self, pkt, now):
-        verdict = enqueue(self, pkt, now)
-        if self.port_id == "root->t4":
-            self.bytes_in += 1
-        return verdict
-
-    monkeypatch.setattr(Port, "enqueue", miscounting_enqueue)
+                                               leaky_root_port):
     cfg = write_config(tmp_path, GOOD_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 1

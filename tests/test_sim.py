@@ -5,7 +5,6 @@ import pytest
 
 from microburst.config import RunConfig
 from microburst.engine import Engine
-from microburst.netmodel import Port
 from microburst.sim import AuditError, run_simulation
 from microburst.transport import Receiver
 
@@ -66,16 +65,7 @@ def test_byte_conservation_on_every_port():
         assert snap["bytes_in"] == snap["bytes_out"] + snap["queue_bytes"], pid
 
 
-def test_audit_names_port_that_loses_bytes(monkeypatch):
-    enqueue = Port.enqueue
-
-    def miscounting_enqueue(self, pkt, now):
-        verdict = enqueue(self, pkt, now)
-        if self.port_id == "root->t4":
-            self.bytes_in += 1
-        return verdict
-
-    monkeypatch.setattr(Port, "enqueue", miscounting_enqueue)
+def test_audit_names_port_that_breaks_conservation(leaky_root_port):
     with pytest.raises(AuditError, match=r"^port root->t4: bytes_in"):
         run_sync(4)
 
