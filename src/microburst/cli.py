@@ -12,10 +12,8 @@ import os
 import random
 import sys
 
-import yaml
-
 from .checks import CHECKS, run_check
-from .config import ConfigError, config_from_dict
+from .config import ConfigError, config_from_dict, read_yaml
 from .scenarios import InvalidParam, build_schedule
 from .sim import run_simulation, write_outputs
 
@@ -53,15 +51,14 @@ def cmd_run(args) -> int:
     # every point's config and schedule are checked before the first run,
     # so a bad sweep value leaves no partial output behind
     try:
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh)
+        raw = read_yaml(args.config)
         if args.seed is not None and isinstance(raw, dict):
             raw = dict(raw, seed=args.seed)
         plan = _plan(raw, args.out)
         for cfg, _ in plan:
             build_schedule(cfg.scenario, random.Random(cfg.seed),
                            cfg.link_rate_bps)
-    except (OSError, ConfigError, InvalidParam, yaml.YAMLError) as exc:
+    except (ConfigError, InvalidParam) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -74,24 +71,32 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_target(target, seed):
+    """(check name, base seed) from a check name or a YAML file naming one."""
+    name = target
+    if target not in CHECKS and os.path.exists(target):
+        raw = read_yaml(target) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError("<root>", "check file must be a mapping")
+        name = raw.get("check")
+        if seed is None:
+            seed = raw.get("seed")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise ConfigError("check", f"unknown check {target!r}; "
+                                   f"available: {', '.join(sorted(CHECKS))}")
+    if seed is None:
+        seed = 1
+    elif type(seed) is not int:
+        raise ConfigError("seed", f"must be an integer, not {seed!r}")
+    return name, seed
+
+
 def cmd_check(args) -> int:
-    name = args.target
-    seed = args.seed if args.seed is not None else 1
-    if name not in CHECKS:
-        if os.path.exists(name):
-            try:
-                with open(name) as fh:
-                    raw = yaml.safe_load(fh) or {}
-                name = raw.get("check")
-                if args.seed is None and "seed" in raw:
-                    seed = raw["seed"]
-            except yaml.YAMLError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
-        if name not in CHECKS:
-            print(f"config error: check: unknown check {args.target!r}; "
-                  f"available: {', '.join(sorted(CHECKS))}", file=sys.stderr)
-            return EXIT_CONFIG
+    try:
+        name, seed = _check_target(args.target, args.seed)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         result = run_check(name, base_seed=seed)
     except Exception as exc:

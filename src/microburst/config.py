@@ -226,13 +226,19 @@ def config_from_dict(raw: dict) -> RunConfig:
     return cfg.validate()
 
 
+def read_yaml(path: str):
+    """A YAML file's contents; ConfigError naming ``<file>`` if unreadable."""
+    try:
+        with open(path) as fh:
+            return yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError("<file>", str(exc)) from None
+    except yaml.YAMLError as exc:
+        raise ConfigError("<file>", f"not valid YAML: {exc}") from None
+
+
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError("<file>", f"not valid YAML: {exc}") from None
-    return config_from_dict(raw)
+    return config_from_dict(read_yaml(path))
 
 
 def effective_yaml(cfg: RunConfig) -> str:

@@ -191,3 +191,18 @@ def test_check_accepts_config_file_naming_check(tmp_path, capsys):
     path.write_text(yaml.safe_dump({"check": "equivalence", "seed": 3}))
     assert main(["check", str(path)]) == 0
     assert "PASS: equivalence" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, field", [
+    ("list.yaml", "<root>"),     # a YAML list, not a mapping
+    ("law9", "<file>"),          # a directory, not a file
+    ("seed.yaml", "seed"),       # seed: abc
+])
+def test_check_bad_file_exits_two_before_any_run(tmp_path, capsys, monkeypatch,
+                                                 name, field):
+    (tmp_path / "list.yaml").write_text("- law1\n")
+    (tmp_path / "law9").mkdir()
+    (tmp_path / "seed.yaml").write_text("check: law1\nseed: abc\n")
+    monkeypatch.setattr("microburst.cli.run_check", pytest.fail)
+    assert main(["check", str(tmp_path / name)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
