@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .netmodel import DROP
 from .units import NS_PER_S
 
 
@@ -29,8 +30,10 @@ class QueueTrace:
 
     @classmethod
     def from_port_trace(cls, pt):
-        return cls(pt.port_id, np.asarray(pt.times, dtype=np.int64),
-                   np.asarray(pt.occupancy, dtype=np.int64), pt)
+        log = np.array(pt.log, dtype=np.int64).reshape(-1, 5)
+        # one sample per enqueue and dequeue; a drop leaves the queue as is
+        kept = log[:, 4] != DROP
+        return cls(pt.port_id, log[kept, 0], log[kept, 2], pt)
 
     def occupancy_at(self, t_ns):
         idx = np.searchsorted(self.times, t_ns, side="right") - 1
@@ -97,13 +100,12 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
     the boundary too early.
     """
     ann = trace.annotations
-    if not ann.first_window_last_arrival:
+    if ann.first_window_first_ns is None:
         raise InsufficientData("trace has no first-window annotations")
     p1_start = ann.first_window_first_ns
-    if ann.first_window_last_departure:
-        p1_end = max(ann.first_window_last_departure.values())
-    else:
-        p1_end = max(ann.first_window_last_arrival.values())
+    p1_end = ann.first_window_last_departure_ns
+    if p1_end is None:
+        p1_end = ann.first_window_last_ns
     base = trace.occupancy_at(p1_start - 1)
     try:
         p1_slope = fit_slope(trace, (p1_start, p1_end))
@@ -134,18 +136,8 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
     # later growth phases: arrival spans of the following send rounds,
     # separated by the pauses while each round's ACKs travel back
     later = []
-    spans = {}
-    for (flow, rnd), (lo_ns, hi_ns) in ann.round_spans.items():
-        if rnd == 0:
-            continue
-        cur = spans.get(rnd)
-        if cur is None:
-            spans[rnd] = [lo_ns, hi_ns]
-        else:
-            cur[0] = min(cur[0], lo_ns)
-            cur[1] = max(cur[1], hi_ns)
-    for rnd in sorted(spans)[:16]:
-        lo_ns, hi_ns = spans[rnd]
+    for rnd in sorted(r for r in ann.round_spans if r != 0)[:16]:
+        lo_ns, hi_ns = ann.round_spans[rnd]
         try:
             later.append(Phase(lo_ns, hi_ns,
                                fit_slope(trace, (lo_ns, hi_ns))))

@@ -7,10 +7,11 @@ policy sees the packet; marking applies only to admitted, ECN-capable
 packets.  Host-side ports (the NIC) have no buffer limit and no policy;
 the sender's window is what bounds them.
 
-Monitored ports carry a ``PortTrace`` that records the queue evolution,
-the telemetry stamps, and the ground-truth annotations (first-window
-arrivals, per-round arrival spans, first drop/mark) that the analysis
-stage uses for phase segmentation.
+Monitored ports carry a ``PortTrace``: one exact log of the queue events,
+from which both ``trace.csv`` (with the telemetry stamps) and the
+analysis samples derive, plus the ground-truth annotations (first-window
+arrivals and departures, per-round arrival spans, first drop) that the
+analysis stage uses for phase segmentation.
 """
 
 from collections import deque
@@ -18,83 +19,91 @@ from collections import deque
 from .packets import DATA
 from .units import quantize_down, serialization_ns
 
-ACCEPTED = 0
-ACCEPTED_MARKED = 1
-DROPPED = 2
+# event codes of the PortTrace log
+ACK_ENQUEUE, ENQUEUE, ENQUEUE_MARKED, DEQUEUE, DROP = range(5)
 
 TIME_QUANTUM_NS = 800   # telemetry timestamp register tick
 QUEUE_QUANTUM_B = 8     # telemetry queue-length register granularity
 
 
-def stamp_telemetry(pkt, now_ns: int, queue_bytes: int, fidelity: bool) -> None:
-    """Attach (timestamp, pre-admission queue length) to a packet.
+def stamp_telemetry(now_ns: int, queue_bytes: int, fidelity: bool):
+    """The (timestamp, pre-admission queue length) stamp of a data packet.
 
     Fidelity mode reproduces the register granularities of a hardware
     pipeline: 800 ns timestamp ticks and 8-byte queue counts, both
-    truncating.  Exact mode records the raw integers.
+    truncating.  Exact mode returns the raw integers.
     """
     if fidelity:
-        pkt.telemetry_stamp = (quantize_down(now_ns, TIME_QUANTUM_NS),
-                               quantize_down(queue_bytes, QUEUE_QUANTUM_B))
-    else:
-        pkt.telemetry_stamp = (now_ns, queue_bytes)
+        return (quantize_down(now_ns, TIME_QUANTUM_NS),
+                quantize_down(queue_bytes, QUEUE_QUANTUM_B))
+    return now_ns, queue_bytes
 
 
 class PortTrace:
-    """Event log and ground-truth annotations for one monitored port."""
+    """Exact event log and ground-truth annotations for one monitored port.
+
+    ``log`` is flat, five integers per event: (time_ns, queue_before,
+    queue_after, flow_id, code).  Telemetry stamps are applied only when
+    ``trace.csv`` is written, so the log is the same in every mode.
+    """
 
     def __init__(self, port_id, fidelity=False):
         self.port_id = port_id
         self.fidelity = fidelity
-        self.rows = []          # (time_ns, queue_bytes, flow_id, event)
-        self.times = []         # exact post-event occupancy samples
-        self.occupancy = []
-        self.first_window_last_arrival = {}   # flow_id -> last 1st-window arrival
-        self.first_window_last_departure = {}  # flow_id -> last 1st-window dequeue
+        self.log = []
         self.first_window_bytes = 0
-        self.first_window_first_ns = None
-        self.first_window_last_ns = None
-        self.round_spans = {}   # (flow_id, round) -> [first_ns, last_ns]
+        self.first_window_first_ns = None    # first and last arrival of a
+        self.first_window_last_ns = None     # first-window packet
+        self.first_window_last_departure_ns = None
+        self.round_spans = {}   # send round -> [first_ns, last_ns] of arrivals
         self.first_drop_ns = None
-        self.first_mark_ns = None
 
     def record_enqueue(self, now, q_before, q_after, pkt, marked):
-        self.times.append(now)
-        self.occupancy.append(q_after)
-        if pkt.kind == DATA:
-            stamp_telemetry(pkt, now, q_before, self.fidelity)
-            t_row, q_row = pkt.telemetry_stamp
-        else:
-            t_row, q_row = now, q_before
-        self.rows.append((t_row, q_row, pkt.flow_id, "enqueue"))
-        if marked:
-            self.rows.append((now, q_before, pkt.flow_id, "mark"))
-            if self.first_mark_ns is None:
-                self.first_mark_ns = now
-        if pkt.kind == DATA and pkt.send_round >= 0:
+        if pkt.kind != DATA:
+            self.log.extend((now, q_before, q_after, pkt.flow_id, ACK_ENQUEUE))
+            return
+        self.log.extend((now, q_before, q_after, pkt.flow_id,
+                         ENQUEUE_MARKED if marked else ENQUEUE))
+        rnd = pkt.send_round
+        if rnd >= 0:
             if pkt.first_window:
-                self.first_window_last_arrival[pkt.flow_id] = now
                 self.first_window_bytes += pkt.size
                 if self.first_window_first_ns is None:
                     self.first_window_first_ns = now
                 self.first_window_last_ns = now
-            span = self.round_spans.get((pkt.flow_id, pkt.send_round))
+            span = self.round_spans.get(rnd)
             if span is None:
-                self.round_spans[(pkt.flow_id, pkt.send_round)] = [now, now]
+                self.round_spans[rnd] = [now, now]
             else:
                 span[1] = now
 
     def record_dequeue(self, now, q_after, pkt):
-        self.times.append(now)
-        self.occupancy.append(q_after)
-        self.rows.append((now, q_after, pkt.flow_id, "dequeue"))
+        self.log.extend((now, q_after + pkt.size, q_after, pkt.flow_id, DEQUEUE))
         if pkt.kind == DATA and pkt.first_window:
-            self.first_window_last_departure[pkt.flow_id] = now
+            self.first_window_last_departure_ns = now
 
     def record_drop(self, now, q_now, pkt):
-        self.rows.append((now, q_now, pkt.flow_id, "drop"))
+        self.log.extend((now, q_now, q_now, pkt.flow_id, DROP))
         if self.first_drop_ns is None:
             self.first_drop_ns = now
+
+    def csv_lines(self):
+        """The port's ``trace.csv`` lines; data enqueues carry the stamp,
+        and a marked one is followed by an exact ``mark`` line."""
+        port_id, fidelity = self.port_id, self.fidelity
+        it = iter(self.log)
+        for t, q_before, q_after, flow, code in zip(it, it, it, it, it):
+            if code == DEQUEUE:
+                yield f"{t},{port_id},{q_after},{flow},dequeue\n"
+            elif code == ACK_ENQUEUE:
+                yield f"{t},{port_id},{q_before},{flow},enqueue\n"
+            elif code == DROP:
+                yield f"{t},{port_id},{q_before},{flow},drop\n"
+            else:
+                t_stamp, q_stamp = stamp_telemetry(t, q_before, fidelity)
+                yield f"{t_stamp},{port_id},{q_stamp},{flow},enqueue\n"
+                if code == ENQUEUE_MARKED:
+                    yield f"{t},{port_id},{q_before},{flow},mark\n"
 
 
 def _forward(now, arg):
@@ -140,7 +149,7 @@ class Port:
             self.engine.stats.packets_dropped += 1
             if self.trace is not None:
                 self.trace.record_drop(now, qb, pkt)
-            return DROPPED
+            return
         marked = False
         policy = self.policy
         if policy is not None and policy.decide(qb, size, now) and pkt.ecn_capable:
@@ -160,7 +169,6 @@ class Port:
             self.busy = True
             self.engine.schedule(now + serialization_ns(size, self.rate_bps),
                                  self._tx_done, None)
-        return ACCEPTED_MARKED if marked else ACCEPTED
 
     def _tx_done(self, now, _):
         queue = self.queue

@@ -1,13 +1,10 @@
-"""Simulated packets: data segments, cumulative ACKs, application queries."""
+"""Simulated packets: data segments and cumulative ACKs."""
 
 DATA = 0
 ACK = 1
-QUERY = 2
 
 MSS = 1500        # data segment size on the wire, headers included
 ACK_SIZE = 64
-
-_KIND_NAMES = {DATA: "data", ACK: "ack", QUERY: "query"}
 
 
 class Packet:
@@ -21,8 +18,7 @@ class Packet:
 
     __slots__ = ("flow_id", "kind", "size", "seq_lo", "seq_hi", "ack_no",
                  "ecn_capable", "ecn_marked", "ece_echo", "cwr",
-                 "telemetry_stamp", "first_window", "send_round",
-                 "route", "hop")
+                 "first_window", "send_round", "route", "hop")
 
     def __init__(self, flow_id, kind, size, route,
                  seq_lo=0, seq_hi=0, ack_no=0, ecn_capable=False):
@@ -36,13 +32,12 @@ class Packet:
         self.ecn_marked = False
         self.ece_echo = False
         self.cwr = False
-        self.telemetry_stamp = None
         self.first_window = False
         self.send_round = 0
         self.route = route
         self.hop = 0
 
     def __repr__(self):
-        kind = _KIND_NAMES.get(self.kind, "?")
+        kind = "data" if self.kind == DATA else "ack"
         return (f"Packet({kind} flow={self.flow_id} size={self.size} "
                 f"seq=[{self.seq_lo},{self.seq_hi}) ack={self.ack_no})")

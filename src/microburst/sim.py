@@ -234,9 +234,7 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="\n") as fh:
         fh.write("time_ns,port_id,queue_bytes,flow_id,event\n")
         for port_id in sorted(result.traces):
-            trace = result.traces[port_id]
-            for t, q, flow_id, event in trace.rows:
-                fh.write(f"{t},{port_id},{q},{flow_id},{event}\n")
+            fh.writelines(result.traces[port_id].csv_lines())
 
     with open(os.path.join(out_dir, "flows.csv"), "w", newline="\n") as fh:
         fh.write("flow_id,bytes,start_ns,end_ns,retransmits,timeouts\n")

@@ -5,14 +5,9 @@ bits per second.  Keeping everything integral makes runs bit-for-bit
 reproducible regardless of event count.
 """
 
-NS_PER_US = 1_000
-NS_PER_MS = 1_000_000
 NS_PER_S = 1_000_000_000
 
 GBPS = 1_000_000_000
-MBPS = 1_000_000
-
-KB = 1_000  # decimal kilobytes throughout, matching 1.5KB = one 1500B MSS
 
 
 def serialization_ns(size_bytes: int, rate_bps: int) -> int:

@@ -10,10 +10,8 @@ from microburst.sim import run_simulation
 
 
 def synthetic_trace(times, occupancy):
-    pt = PortTrace("syn")
-    pt.times = list(times)
-    pt.occupancy = list(occupancy)
-    return QueueTrace.from_port_trace(pt)
+    return QueueTrace("syn", np.asarray(times, dtype=np.int64),
+                      np.asarray(occupancy, dtype=np.int64), PortTrace("syn"))
 
 
 def test_fit_slope_exact_on_linear_trace():
@@ -89,7 +87,7 @@ def test_segment_phases_sync_fanin():
     report = segment_phases(trace, res.first_ece_cut_ns)
     ann = trace.annotations
     # phase 1 ends when the last first-window packet clears the port
-    assert report.phase1.end_ns == max(ann.first_window_last_departure.values())
+    assert report.phase1.end_ns == ann.first_window_last_departure_ns
     # height = queue level once the first-round burst has cleared; above the
     # 54KB burst residue, well below the buffer
     assert 40_000 <= report.phase1.height_bytes <= 250_000

@@ -1,10 +1,12 @@
+from hypothesis import given, settings, strategies as st
+
+from microburst.analysis import QueueTrace
 from microburst.engine import Engine
 from microburst.marking import TailDrop, ThresholdEcn
-from microburst.netmodel import (ACCEPTED, ACCEPTED_MARKED, DROPPED, Port,
-                                 PortTrace, stamp_telemetry)
+from microburst.netmodel import (ENQUEUE, Port, PortTrace, stamp_telemetry)
 from microburst.packets import ACK, DATA, Packet
 from microburst.topology import paper_preset, rack_of
-from microburst.units import GBPS
+from microburst.units import GBPS, quantize_down
 
 
 def make_port(engine, sink, buffer_limit=None, policy=None, rate=GBPS):
@@ -24,7 +26,7 @@ def test_tail_drop_on_overflow():
     sink = []
     port = make_port(engine, sink, buffer_limit=512_000, policy=TailDrop())
     port.queue_bytes = 511_000   # pre-filled bookkeeping
-    assert port.enqueue(data_pkt(1500), 0) == DROPPED
+    port.enqueue(data_pkt(1500), 0)
     assert port.queue_bytes == 511_000
     assert port.drops == 1
 
@@ -34,7 +36,8 @@ def test_taildrop_accepts_without_marking():
     sink = []
     port = make_port(engine, sink, buffer_limit=512_000, policy=TailDrop())
     pkt = data_pkt()
-    assert port.enqueue(pkt, 0) == ACCEPTED
+    port.enqueue(pkt, 0)
+    assert (port.queue_bytes, port.drops, port.marks) == (1500, 0, 0)
     assert pkt.ecn_marked is False
 
 
@@ -45,7 +48,8 @@ def test_threshold_policy_marks_above_threshold():
                      policy=ThresholdEcn(32_000))
     port.queue_bytes = 40_000
     pkt = data_pkt()
-    assert port.enqueue(pkt, 0) == ACCEPTED_MARKED
+    port.enqueue(pkt, 0)
+    assert (port.drops, port.marks) == (0, 1)
     assert pkt.ecn_marked is True
 
 
@@ -56,7 +60,8 @@ def test_mark_requires_ecn_capable():
                      policy=ThresholdEcn(32_000))
     port.queue_bytes = 40_000
     pkt = data_pkt(ecn=False)
-    assert port.enqueue(pkt, 0) == ACCEPTED
+    port.enqueue(pkt, 0)
+    assert (port.queue_bytes, port.drops, port.marks) == (41_500, 0, 0)
     assert pkt.ecn_marked is False
 
 
@@ -105,11 +110,14 @@ def test_work_conservation_and_byte_conservation():
 
 
 def test_stamp_exact_and_fidelity():
-    pkt = data_pkt()
-    stamp_telemetry(pkt, 1234, 1001, fidelity=True)
-    assert pkt.telemetry_stamp == (800, 1000)
-    stamp_telemetry(pkt, 1234, 1001, fidelity=False)
-    assert pkt.telemetry_stamp == (1234, 1001)
+    assert stamp_telemetry(1234, 1001, fidelity=True) == (800, 1000)
+    assert stamp_telemetry(1234, 1001, fidelity=False) == (1234, 1001)
+
+
+def log_events(trace):
+    """The trace's log as (time, queue_before, queue_after, flow, code)."""
+    it = iter(trace.log)
+    return list(zip(it, it, it, it, it))
 
 
 def test_trace_records_pre_admission_queue():
@@ -119,22 +127,23 @@ def test_trace_records_pre_admission_queue():
     port.trace = PortTrace("p")
     port.enqueue(data_pkt(seq=0), 0)
     port.enqueue(data_pkt(seq=1500), 0)
-    rows = [r for r in port.trace.rows if r[3] == "enqueue"]
-    assert rows[0][1] == 0        # queue before first packet
-    assert rows[1][1] == 1500     # queue before second packet
+    assert log_events(port.trace) == [(0, 0, 1500, 0, ENQUEUE),
+                                      (0, 1500, 3000, 0, ENQUEUE)]
+    assert list(port.trace.csv_lines()) == ["0,p,0,0,enqueue\n",
+                                            "0,p,1500,0,enqueue\n"]
 
 
 def test_trace_stamps_data_but_not_acks():
     engine = Engine()
     sink = []
     port = make_port(engine, sink)
-    port.trace = PortTrace("p")
-    pkt = data_pkt(flow=0)
-    port.enqueue(pkt, 0)
-    assert pkt.telemetry_stamp == (0, 0)
-    ack = Packet(1, ACK, 64, ())
-    port.enqueue(ack, 0)
-    assert ack.telemetry_stamp is None
+    port.trace = PortTrace("p", fidelity=True)
+    port.enqueue(data_pkt(flow=0), 1234)
+    port.enqueue(Packet(1, ACK, 64, ()), 1234)
+    port.enqueue(data_pkt(flow=2, seq=1500), 1234)
+    assert list(port.trace.csv_lines()) == ["800,p,0,0,enqueue\n",
+                                            "1234,p,1500,1,enqueue\n",
+                                            "800,p,1560,2,enqueue\n"]
 
 
 def test_acks_share_queue_and_are_droppable():
@@ -142,10 +151,10 @@ def test_acks_share_queue_and_are_droppable():
     sink = []
     port = make_port(engine, sink, buffer_limit=2_000, policy=TailDrop())
     port.enqueue(data_pkt(), 0)
-    ack = Packet(0, ACK, 64, ())
-    assert port.enqueue(ack, 0) == ACCEPTED
-    big = data_pkt(seq=1500)
-    assert port.enqueue(big, 0) == DROPPED      # 1500+64+1500 > 2000
+    port.enqueue(Packet(0, ACK, 64, ()), 0)
+    assert (port.queue_bytes, port.drops) == (1564, 0)
+    port.enqueue(data_pkt(seq=1500), 0)     # 1500+64+1500 > 2000
+    assert (port.queue_bytes, port.drops) == (1564, 1)
 
 
 def test_preset_topology_shape():
@@ -159,3 +168,151 @@ def test_preset_topology_shape():
     assert path == ["h1", "t1", "root", "t4", "h10"]
     same_rack = topo.path("h11", "h10")
     assert same_rack == ["h11", "t4", "h10"]
+
+
+# -- the single-log recorder against the three-store reference -----------------
+
+class ThreeStoreTrace:
+    """Reference: the recorder that kept ``trace.csv`` rows, occupancy
+    samples and per-flow annotations in separate stores, stamping each data
+    packet as it was admitted."""
+
+    def __init__(self, port_id, fidelity=False):
+        self.port_id = port_id
+        self.fidelity = fidelity
+        self.rows = []          # (time_ns, queue_bytes, flow_id, event)
+        self.times = []
+        self.occupancy = []
+        self.first_window_last_arrival = {}    # flow_id -> ns
+        self.first_window_last_departure = {}  # flow_id -> ns
+        self.first_window_bytes = 0
+        self.first_window_first_ns = None
+        self.first_window_last_ns = None
+        self.round_spans = {}   # (flow_id, round) -> [first_ns, last_ns]
+        self.first_drop_ns = None
+
+    def record_enqueue(self, now, q_before, q_after, pkt, marked):
+        self.times.append(now)
+        self.occupancy.append(q_after)
+        if pkt.kind == DATA and self.fidelity:
+            t_row, q_row = quantize_down(now, 800), quantize_down(q_before, 8)
+        else:
+            t_row, q_row = now, q_before
+        self.rows.append((t_row, q_row, pkt.flow_id, "enqueue"))
+        if marked:
+            self.rows.append((now, q_before, pkt.flow_id, "mark"))
+        if pkt.kind == DATA and pkt.send_round >= 0:
+            if pkt.first_window:
+                self.first_window_last_arrival[pkt.flow_id] = now
+                self.first_window_bytes += pkt.size
+                if self.first_window_first_ns is None:
+                    self.first_window_first_ns = now
+                self.first_window_last_ns = now
+            span = self.round_spans.get((pkt.flow_id, pkt.send_round))
+            if span is None:
+                self.round_spans[(pkt.flow_id, pkt.send_round)] = [now, now]
+            else:
+                span[1] = now
+
+    def record_dequeue(self, now, q_after, pkt):
+        self.times.append(now)
+        self.occupancy.append(q_after)
+        self.rows.append((now, q_after, pkt.flow_id, "dequeue"))
+        if pkt.kind == DATA and pkt.first_window:
+            self.first_window_last_departure[pkt.flow_id] = now
+
+    def record_drop(self, now, q_now, pkt):
+        self.rows.append((now, q_now, pkt.flow_id, "drop"))
+        if self.first_drop_ns is None:
+            self.first_drop_ns = now
+
+    def merged_round_spans(self):
+        spans = {}
+        for (_, rnd), (lo_ns, hi_ns) in self.round_spans.items():
+            cur = spans.setdefault(rnd, [lo_ns, hi_ns])
+            cur[0], cur[1] = min(cur[0], lo_ns), max(cur[1], hi_ns)
+        return spans
+
+
+class TeeTrace:
+    """Forwards every ``record_*`` call of a port to several recorders."""
+
+    def __init__(self, *traces):
+        self.traces = traces
+
+    def record_enqueue(self, *args):
+        for trace in self.traces:
+            trace.record_enqueue(*args)
+
+    def record_dequeue(self, *args):
+        for trace in self.traces:
+            trace.record_dequeue(*args)
+
+    def record_drop(self, *args):
+        for trace in self.traces:
+            trace.record_drop(*args)
+
+
+# (ns after the previous arrival, ACK instead of data, flow id, data size,
+# ECN capable, first window, send round or -1 for unannotated): zero gaps
+# and mostly data make bursts that overflow the 3 KB buffer
+_ARRIVAL = st.tuples(
+    st.sampled_from((0, 0, 0, 500, 4_000, 12_000, 30_000)),
+    st.sampled_from((False, False, True)),
+    st.integers(0, 5), st.integers(64, 1500), st.booleans(), st.booleans(),
+    st.integers(-1, 3))
+
+
+def _arrive(now, arg):
+    port, pkt = arg
+    port.enqueue(pkt, now)
+
+
+@settings(max_examples=150)
+@given(st.lists(_ARRIVAL, min_size=10, max_size=60), st.booleans())
+def test_single_log_matches_three_store_reference(arrivals, fidelity):
+    engine = Engine()
+    port = Port("p", GBPS, 3_000, ThresholdEcn(1_000), engine,
+                deliver_fn=lambda now, pkt: None)
+    new, ref = PortTrace("p", fidelity), ThreeStoreTrace("p", fidelity)
+    port.trace = TeeTrace(new, ref)
+    t = 0
+    for gap, is_ack, flow, size, ecn, first_window, rnd in arrivals:
+        t += gap
+        if is_ack:
+            pkt = Packet(flow, ACK, 64, ())
+        else:
+            pkt = Packet(flow, DATA, size, (), ecn_capable=ecn)
+            pkt.first_window = first_window and rnd >= 0
+            pkt.send_round = rnd
+        engine.schedule(t, _arrive, (port, pkt))
+    engine.run_until(1 << 40)
+
+    assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
+                                     for t, q, flow, event in ref.rows]
+    qt = QueueTrace.from_port_trace(new)
+    assert qt.times.tolist() == ref.times
+    assert qt.occupancy.tolist() == ref.occupancy
+    # the annotations segment_phases and first_window_rate read
+    assert new.first_window_bytes == ref.first_window_bytes
+    assert new.first_window_first_ns == ref.first_window_first_ns
+    assert new.first_window_last_ns == max(
+        ref.first_window_last_arrival.values(), default=None)
+    assert new.first_window_last_departure_ns == max(
+        ref.first_window_last_departure.values(), default=None)
+    assert new.first_drop_ns == ref.first_drop_ns
+    assert new.round_spans == ref.merged_round_spans()
+
+
+def test_reference_run_exercises_drops_and_marks():
+    engine = Engine()
+    port = Port("p", GBPS, 6_000, ThresholdEcn(3_000), engine,
+                deliver_fn=lambda now, pkt: None)
+    new, ref = PortTrace("p"), ThreeStoreTrace("p")
+    port.trace = TeeTrace(new, ref)
+    for i in range(6):
+        port.enqueue(data_pkt(seq=i * 1500), 0)
+    events = [row[3] for row in ref.rows]
+    assert events.count("mark") == 1 and events.count("drop") == 2
+    assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
+                                     for t, q, flow, event in ref.rows]

@@ -1,11 +1,13 @@
 """End-to-end runs on the 12-host preset: timing ground truths, byte
 conservation, determinism, telemetry modes."""
 
+import numpy as np
 import pytest
 
+from microburst.analysis import QueueTrace
 from microburst.config import RunConfig
 from microburst.engine import Engine
-from microburst.sim import AuditError, run_simulation
+from microburst.sim import AuditError, run_simulation, write_outputs
 from microburst.transport import Receiver
 
 MSS = 1500
@@ -37,7 +39,10 @@ def test_fifty_four_first_round_packets_converge_on_root():
     res = run_sync(18)
     ann = res.traces["root->t4"]
     assert ann.first_window_bytes == 54 * MSS
-    assert len(ann.first_window_last_arrival) == 18
+    log = ann.log     # five integers per event: time first, flow id fourth
+    burst = {log[i + 3] for i in range(0, len(log), 5)
+             if log[i] <= ann.first_window_last_ns}
+    assert burst == set(range(18))
 
 
 def test_lone_megabyte_flow_fct_matches_round_progression():
@@ -95,7 +100,7 @@ def test_audit_names_flow_delivered_past_its_size(monkeypatch):
 def test_deterministic_replay_same_seed():
     a = run_sync(18, seed=9)
     b = run_sync(18, seed=9)
-    assert a.traces["root->t4"].rows == b.traces["root->t4"].rows
+    assert a.traces["root->t4"].log == b.traces["root->t4"].log
     assert [(f.flow_id, f.end_ns, f.retransmits) for f in a.flows] == \
            [(f.flow_id, f.end_ns, f.retransmits) for f in b.flows]
     assert a.summary == b.summary
@@ -104,7 +109,7 @@ def test_deterministic_replay_same_seed():
 def test_different_seed_changes_schedule():
     a = run_sync(18, seed=1)
     b = run_sync(18, seed=2)
-    assert a.traces["root->t4"].rows != b.traces["root->t4"].rows
+    assert a.traces["root->t4"].log != b.traces["root->t4"].log
 
 
 def test_telemetry_off_records_nothing():
@@ -114,17 +119,49 @@ def test_telemetry_off_records_nothing():
     assert res.ports["root->t4"]["max_queue_bytes"] > 0
 
 
+def enqueue_rows(trace):
+    """(time, queue) of the trace.csv enqueue rows."""
+    rows = [line.split(",") for line in trace.csv_lines()]
+    return [(int(t), int(q)) for t, _, q, _, event in rows
+            if event == "enqueue\n"]
+
+
 def test_fidelity_mode_quantizes_stamped_rows():
     res = run_sync(18, telemetry_mode="fidelity")
-    rows = [r for r in res.traces["root->t4"].rows if r[3] == "enqueue"]
+    rows = enqueue_rows(res.traces["root->t4"])
     assert rows, "expected enqueue rows"
-    assert all(t % 800 == 0 and q % 8 == 0 for t, q, _, _ in rows)
+    assert all(t % 800 == 0 and q % 8 == 0 for t, q in rows)
 
 
 def test_exact_mode_keeps_raw_values():
     res = run_sync(18, telemetry_mode="exact")
-    rows = [r for r in res.traces["root->t4"].rows if r[3] == "enqueue"]
-    assert any(t % 800 != 0 or q % 8 != 0 for t, q, _, _ in rows)
+    rows = enqueue_rows(res.traces["root->t4"])
+    assert any(t % 800 != 0 or q % 8 != 0 for t, q in rows)
+
+
+def test_telemetry_mode_changes_only_trace_csv(tmp_path):
+    # stamps are applied when trace.csv is written; nothing else may see them
+    out = {}
+    for mode in ("exact", "fidelity"):
+        res = run_simulation(RunConfig(
+            seed=4, protocol="ECN*", telemetry_mode=mode,
+            scenario={"kind": "sync_fanin", "n": 8,
+                      "response_bytes": 200_000, "jitter_ns": 20_000}))
+        write_outputs(res, str(tmp_path / mode))
+        out[mode] = (QueueTrace.from_port_trace(res.traces["root->t4"]),
+                     {name: (tmp_path / mode / name).read_text()
+                      for name in ("trace.csv", "flows.csv", "metrics.csv")})
+    (exact, exact_files), (fid, fid_files) = out["exact"], out["fidelity"]
+    assert np.array_equal(exact.times, fid.times)
+    assert np.array_equal(exact.occupancy, fid.occupancy)
+    for name in ("flows.csv", "metrics.csv"):
+        assert exact_files[name] == fid_files[name]
+    exact_rows, fid_rows = (files["trace.csv"].splitlines()
+                            for files in (exact_files, fid_files))
+    assert len(exact_rows) == len(fid_rows) > 1000
+    assert [r.rsplit(",", 1)[1] for r in exact_rows] == \
+           [r.rsplit(",", 1)[1] for r in fid_rows]
+    assert exact_rows != fid_rows
 
 
 def test_completed_flow_records():
