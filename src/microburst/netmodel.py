@@ -42,9 +42,9 @@ def stamp_telemetry(now_ns: int, queue_bytes: int, fidelity: bool):
 class PortTrace:
     """Exact event log and ground-truth annotations for one monitored port.
 
-    ``log`` is flat, five integers per event: (time_ns, queue_before,
-    queue_after, flow_id, code).  Telemetry stamps are applied only when
-    ``trace.csv`` is written, so the log is the same in every mode.
+    ``log`` holds one tuple of exact integers per event: (time_ns,
+    queue_before, queue_after, flow_id, code).  Telemetry stamps are applied
+    only when ``trace.csv`` is written, so the log is the same in every mode.
     """
 
     def __init__(self, port_id, fidelity=False):
@@ -60,9 +60,9 @@ class PortTrace:
 
     def record_enqueue(self, now, q_before, q_after, pkt, marked):
         if pkt.kind != DATA:
-            self.log.extend((now, q_before, q_after, pkt.flow_id, ACK_ENQUEUE))
+            self.log.append((now, q_before, q_after, pkt.flow_id, ACK_ENQUEUE))
             return
-        self.log.extend((now, q_before, q_after, pkt.flow_id,
+        self.log.append((now, q_before, q_after, pkt.flow_id,
                          ENQUEUE_MARKED if marked else ENQUEUE))
         rnd = pkt.send_round
         if rnd >= 0:
@@ -78,12 +78,13 @@ class PortTrace:
                 span[1] = now
 
     def record_dequeue(self, now, q_after, pkt):
-        self.log.extend((now, q_after + pkt.size, q_after, pkt.flow_id, DEQUEUE))
+        self.log.append((now, q_after + pkt.size, q_after, pkt.flow_id,
+                         DEQUEUE))
         if pkt.kind == DATA and pkt.first_window:
             self.first_window_last_departure_ns = now
 
     def record_drop(self, now, q_now, pkt):
-        self.log.extend((now, q_now, q_now, pkt.flow_id, DROP))
+        self.log.append((now, q_now, q_now, pkt.flow_id, DROP))
         if self.first_drop_ns is None:
             self.first_drop_ns = now
 
@@ -91,8 +92,7 @@ class PortTrace:
         """The port's ``trace.csv`` lines; data enqueues carry the stamp,
         and a marked one is followed by an exact ``mark`` line."""
         port_id, fidelity = self.port_id, self.fidelity
-        it = iter(self.log)
-        for t, q_before, q_after, flow, code in zip(it, it, it, it, it):
+        for t, q_before, q_after, flow, code in self.log:
             if code == DEQUEUE:
                 yield f"{t},{port_id},{q_after},{flow},dequeue\n"
             elif code == ACK_ENQUEUE:

@@ -114,12 +114,6 @@ def test_stamp_exact_and_fidelity():
     assert stamp_telemetry(1234, 1001, fidelity=False) == (1234, 1001)
 
 
-def log_events(trace):
-    """The trace's log as (time, queue_before, queue_after, flow, code)."""
-    it = iter(trace.log)
-    return list(zip(it, it, it, it, it))
-
-
 def test_trace_records_pre_admission_queue():
     engine = Engine()
     sink = []
@@ -127,8 +121,8 @@ def test_trace_records_pre_admission_queue():
     port.trace = PortTrace("p")
     port.enqueue(data_pkt(seq=0), 0)
     port.enqueue(data_pkt(seq=1500), 0)
-    assert log_events(port.trace) == [(0, 0, 1500, 0, ENQUEUE),
-                                      (0, 1500, 3000, 0, ENQUEUE)]
+    assert port.trace.log == [(0, 0, 1500, 0, ENQUEUE),
+                              (0, 1500, 3000, 0, ENQUEUE)]
     assert list(port.trace.csv_lines()) == ["0,p,0,0,enqueue\n",
                                             "0,p,1500,0,enqueue\n"]
 
@@ -170,7 +164,7 @@ def test_preset_topology_shape():
     assert same_rack == ["h11", "t4", "h10"]
 
 
-# -- the single-log recorder against the three-store reference -----------------
+# -- the single-log recorder against the three-store reference ----------------
 
 class ThreeStoreTrace:
     """Reference: the recorder that kept ``trace.csv`` rows, occupancy

@@ -39,9 +39,8 @@ def test_fifty_four_first_round_packets_converge_on_root():
     res = run_sync(18)
     ann = res.traces["root->t4"]
     assert ann.first_window_bytes == 54 * MSS
-    log = ann.log     # five integers per event: time first, flow id fourth
-    burst = {log[i + 3] for i in range(0, len(log), 5)
-             if log[i] <= ann.first_window_last_ns}
+    burst = {flow for t, _, _, flow, _ in ann.log
+             if t <= ann.first_window_last_ns}
     assert burst == set(range(18))
 
 
