@@ -84,11 +84,9 @@ def _check_target(target, seed):
     if not isinstance(name, str) or name not in CHECKS:
         raise ConfigError("check", f"unknown check {target!r}; "
                                    f"available: {', '.join(sorted(CHECKS))}")
-    if seed is None:
-        seed = 1
-    elif type(seed) is not int:
+    if seed is not None and type(seed) is not int:
         raise ConfigError("seed", f"must be an integer, not {seed!r}")
-    return name, seed
+    return name, 1 if seed is None else seed
 
 
 def cmd_check(args) -> int:

@@ -7,11 +7,10 @@ policy sees the packet; marking applies only to admitted, ECN-capable
 packets.  Host-side ports (the NIC) have no buffer limit and no policy;
 the sender's window is what bounds them.
 
-Monitored ports carry a ``PortTrace``: one exact log of the queue events,
-from which both ``trace.csv`` (with the telemetry stamps) and the
-analysis samples derive, plus the ground-truth annotations (first-window
-arrivals and departures, per-round arrival spans, first drop) that the
-analysis stage uses for phase segmentation.
+Monitored ports carry a ``PortTrace``: one exact log of queue events, from
+which ``trace.csv`` and the analysis samples derive, plus the ground-truth
+annotations (first-window arrivals and departures, per-round arrival
+spans, first drop) that the analysis stage uses for phase segmentation.
 """
 
 from collections import deque

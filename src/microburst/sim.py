@@ -143,9 +143,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     engine = Engine()
     net = Network(topo, engine, cfg)
 
+    traces = {}
     if cfg.telemetry_mode != "off":
         for port_id in cfg.telemetry_ports:   # names checked by validate
-            net.ports[port_id].trace = PortTrace(
+            traces[port_id] = net.ports[port_id].trace = PortTrace(
                 port_id, fidelity=(cfg.telemetry_mode == "fidelity"))
 
     params = TransportParams(mss=cfg.mss_bytes,
@@ -209,8 +210,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         if cut is not None and (first_ece is None or cut < first_ece):
             first_ece = cut
 
-    traces = {pid: port.trace for pid, port in net.ports.items()
-              if port.trace is not None}
+    # ports and endpoints reference each other, so the finished network is
+    # freed only by the cycle collector; the result alone keeps the traces
+    for port_id in traces:
+        net.ports[port_id].trace = None
     port_stats = {pid: {"max_queue_bytes": p.max_queue_bytes,
                         "drops": p.drops, "marks": p.marks,
                         "bytes_in": p.bytes_in, "bytes_out": p.bytes_out,

@@ -1,6 +1,9 @@
 """End-to-end runs on the 12-host preset: timing ground truths, byte
 conservation, determinism, telemetry modes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -109,6 +112,19 @@ def test_different_seed_changes_schedule():
     a = run_sync(18, seed=1)
     b = run_sync(18, seed=2)
     assert a.traces["root->t4"].log != b.traces["root->t4"].log
+
+
+def test_trace_is_freed_with_its_result_not_with_the_network():
+    # the finished network is reference-cyclic: were a trace still held by
+    # its port, it would live until the collector's next full pass
+    res = run_sync(4)
+    trace = weakref.ref(res.traces["root->t4"])
+    gc.disable()
+    try:
+        del res
+        assert trace() is None
+    finally:
+        gc.enable()
 
 
 def test_telemetry_off_records_nothing():
