@@ -30,10 +30,10 @@ class QueueTrace:
 
     @classmethod
     def from_port_trace(cls, pt):
-        log = np.array(pt.log, dtype=np.int64).reshape(-1, 5)
         # one sample per enqueue and dequeue; a drop leaves the queue as is
-        kept = log[:, 4] != DROP
-        return cls(pt.port_id, log[kept, 0], log[kept, 2], pt)
+        kept = [event for event in pt.log if event[4] != DROP]
+        return cls(pt.port_id, np.array([e[0] for e in kept], dtype=np.int64),
+                   np.array([e[2] for e in kept], dtype=np.int64), pt)
 
     def occupancy_at(self, t_ns):
         idx = np.searchsorted(self.times, t_ns, side="right") - 1
