@@ -70,9 +70,25 @@ CASES = {
         "telemetry": {"mode": "exact", "ports": ["root->t4", "t4->h10"]},
         "metrics": {"drain_grace_ns": 50_000_000},
     },
+    # link propagation and switch processing delays on a 10 Gbps fabric, so
+    # forwarding and final delivery go through scheduled events
+    "dctcp_delayed_links": {
+        "seed": 9, "protocol": "DCTCP", "scenario": FANIN,
+        "network": {"buffer_bytes": 128_000,
+                    "link_rate_bps": 10_000_000_000,
+                    "prop_delay_ns": 2_000, "hop_proc_ns": 500},
+        "telemetry": {"mode": "exact", "ports": ["root->t4", "t4->h10"]},
+    },
 }
 
 DIGESTS = {
+    'dctcp_delayed_links': {
+        'trace.csv': '19cdc7202fa93984a9b7db43a3a59cf3528319e01ebf5d5be77df99507251126',
+        'flows.csv': '2384048b8bdcaa3f5b0fa29d9b0c7bfe5d33c66569394c856aa723cead37ee83',
+        'queries.csv': None,
+        'metrics.csv': 'f51591bab1b86230b646c3bca26cdb254d1f8a99ba793cd7ae419bf8d4a55dc6',
+        'summary.txt': '301edd990f118b78646642d137b993be2c87f5541bf88ef26b54ad9ae960b21c',
+    },
     'dctcp_incast_sweep_point': {
         'trace.csv': 'd82949f8063c42cf4acfb5c5a4e72d7064157238a8e0576246b6cce07fe0e5bd',
         'flows.csv': 'c9a953f7f180a7ad64e1d90bf946255e3e2d1396f88c19948da8b826b5c9d3d4',
