@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 import yaml
 
-from .topology import paper_preset
+from .topology import PORT_IDS
 from .transport import NEWRENO, DCTCP
 from .units import GBPS
 
@@ -42,8 +42,8 @@ TELEMETRY_MODES = ("exact", "fidelity", "off")
 
 DEFAULT_MONITOR_PORT = "root->t4"
 
-# output ports of the 12-host preset; their names do not depend on rates
-PRESET_PORTS = frozenset(paper_preset().port_ids())
+# output ports of the 12-host preset
+PRESET_PORTS = frozenset(PORT_IDS)
 
 # fields that count something and so must be integers >= the given minimum
 _COUNTS = {"duration_ns": 0, "link_rate_bps": 1, "prop_delay_ns": 0,

@@ -10,6 +10,7 @@ import bisect
 from dataclasses import dataclass, field
 from importlib import resources
 
+from .topology import HOSTS
 from .units import NS_PER_S
 
 
@@ -18,7 +19,7 @@ class InvalidParam(Exception):
 
 
 FANIN_RECEIVER = "h10"
-FANIN_SENDERS = [f"h{i}" for i in range(1, 10)]
+FANIN_SENDERS = list(HOSTS[:9])
 # rack-interleaved order so small sender counts still span several racks
 SPREAD_SENDERS = ["h1", "h4", "h7", "h2", "h5", "h8", "h3", "h6", "h9"]
 BACKGROUND_SINKS = ["h11", "h12"]
@@ -49,6 +50,9 @@ def validate_schedule(flows):
     seen = set()
     last_start = 0
     for f in flows:
+        if f.src not in HOSTS or f.dst not in HOSTS:
+            raise InvalidParam(f"flow {f.flow_id}: {f.src} -> {f.dst} "
+                               "is not between preset hosts h1..h12")
         if f.src == f.dst:
             raise InvalidParam(f"flow {f.flow_id}: src == dst ({f.src})")
         if f.size_bytes <= 0:
@@ -64,6 +68,19 @@ def validate_schedule(flows):
     return flows
 
 
+def _check_int(name, value, minimum=0):
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidParam(f"scenario.{name}: must be an integer >= "
+                           f"{minimum}, got {value!r}")
+
+
+def _check_hosts(name, hosts):
+    for host in hosts:
+        if host not in HOSTS:
+            raise InvalidParam(f"scenario.{name}: no host {host!r} in the "
+                               "preset; hosts are h1..h12")
+
+
 def _sorted(flows):
     flows.sort(key=lambda f: (f.start_ns, f.flow_id))
     return validate_schedule(flows)
@@ -75,9 +92,11 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                    rng=None, receiver=FANIN_RECEIVER, senders=None):
     """n concurrent flows to one receiver, optionally with a small uniform
     start jitter (real 'simultaneous' starts carry scheduler jitter)."""
-    if n < 1:
-        raise InvalidParam(f"scenario.n: must be >= 1, got {n}")
+    _check_int("n", n, 1)
+    _check_int("jitter_ns", jitter_ns)
     senders = senders or FANIN_SENDERS
+    _check_hosts("receiver", [receiver])
+    _check_hosts("senders", senders)
     flows = []
     for i in range(n):
         t = start_ns
@@ -91,8 +110,8 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
 def gen_async_fanin(n, window_ns=2_000_000, response_bytes=1_000_000,
                     start_ns=0, rng=None):
     """n flows starting uniformly at random inside a window."""
-    if window_ns < 0:
-        raise InvalidParam("scenario.window_ns: must be >= 0")
+    _check_int("n", n, 1)
+    _check_int("window_ns", window_ns)
     flows = []
     for i in range(n):
         offset = rng.randrange(window_ns) if window_ns else 0
@@ -105,6 +124,7 @@ def gen_one_background(fanin_count=8, response_bytes=1_000_000,
                        delay_ns=500_000_000, background_bytes=LONG_FLOW_BYTES,
                        jitter_ns=0, rng=None):
     """One long-lived flow first, then a fan-in burst at the same bottleneck."""
+    _check_int("jitter_ns", jitter_ns)
     flows = [FlowSpec(0, "h9", "h11", background_bytes, 0, burst=False)]
     senders = [f"h{i}" for i in range(1, 9)]
     for i in range(fanin_count):
@@ -120,8 +140,8 @@ def gen_background_same_hop(background_count=3, fanin_count=12,
                             jitter_ns=0, rng=None):
     """Background flows already queueing at the fan-in port when the burst
     starts; fan-in senders exclude the background hosts."""
-    if background_count < 1:
-        raise InvalidParam("scenario.background_count: must be >= 1")
+    _check_int("jitter_ns", jitter_ns)
+    _check_int("background_count", background_count, 1)
     bg_srcs = ["h1", "h4", "h7"]
     flows = []
     for i in range(background_count):
@@ -143,6 +163,7 @@ def gen_background_prev_hop(background_count=3, fanin_count=6,
     """Background flows congest their rack uplink; the fan-in burst then
     moves the congestion point downstream and the rack's built-up queue
     drains into it (the hidden buffer)."""
+    _check_int("jitter_ns", jitter_ns)
     bg_srcs = ["h7", "h8", "h9"]
     flows = []
     for i in range(background_count):
@@ -163,8 +184,7 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
                total_bytes=1_024_000, start_ns=0):
     """Synchronized query responses: fixed per-slave size, or a fixed total
     split evenly (integer floor, remainder on the first flow)."""
-    if n < 1:
-        raise InvalidParam(f"scenario.n: must be >= 1, got {n}")
+    _check_int("n", n, 1)
     if mode not in ("fixed_response", "fixed_total"):
         raise InvalidParam(f"scenario.mode: unknown incast mode {mode!r}")
     if mode == "fixed_total":
@@ -184,8 +204,7 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
 def gen_long_flow_batches(batch=3, interval_ns=NS_PER_S, batches=1,
                           flow_bytes=LONG_FLOW_BYTES):
     """Batches of saturating flows to one receiver, one batch per interval."""
-    if batch < 1:
-        raise InvalidParam("scenario.batch: must be >= 1")
+    _check_int("batch", batch, 1)
     flows = []
     fid = 0
     for b in range(batches):
@@ -206,8 +225,11 @@ def load_size_cdf(path=None):
         text = (resources.files("microburst") / "data" /
                 "websearch_sizes.cdf").read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise InvalidParam(f"scenario.cdf_path: {exc}") from None
     sizes, probs = [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -258,8 +280,9 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
                            f"got {query_fraction}")
     if duration_ns <= 0:
         raise InvalidParam("scenario.duration_ns: must be > 0")
+    _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
-    responders = [h for h in ([f"h{i}" for i in range(1, 13)]) if h != master]
+    responders = [h for h in HOSTS if h != master]
 
     target_bytes = load * (link_rate_bps / 8) * (duration_ns / NS_PER_S)
     query_rate = query_fraction * target_bytes / query_bytes / duration_ns

@@ -1,4 +1,4 @@
-"""Assembles one run: topology -> ports, schedule -> flows, then the event
+"""Assembles one run: preset links -> ports, schedule -> flows, then the event
 loop; audits the end state, collects traces, flow records, and query
 completions, and writes the CSV outputs."""
 
@@ -12,7 +12,7 @@ from .marking import TailDrop, ThresholdEcn, SlopeEcn, SlopeThresholdEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA
 from .scenarios import build_schedule
-from .topology import paper_preset
+from .topology import HOSTS, LINKS, ROOT, path
 from .transport import Sender, Receiver, TransportParams, DCTCP
 
 _TAILDROP = TailDrop()
@@ -32,31 +32,28 @@ def _make_policy(cfg: RunConfig):
 
 
 class Network:
-    """Ports for every directed link plus per-pair port routes."""
+    """Ports for every directed link of the preset plus per-pair port routes."""
 
-    def __init__(self, topo, engine, cfg: RunConfig):
-        self.topo = topo
-        self.engine = engine
+    def __init__(self, engine, cfg: RunConfig):
         self.ports = {}
         self._routes = {}
-        hosts = set(topo.hosts)
-        for link in topo.links:
-            for a, b in ((link.a, link.b), (link.b, link.a)):
+        for link in LINKS:
+            for a, b in (link, link[::-1]):
                 port_id = f"{a}->{b}"
-                if a in hosts:
+                if a in HOSTS:
                     buffer_limit, policy = None, None   # sender NIC
                 else:
                     policy = _make_policy(cfg)
-                    if b == "root" and cfg.tor_uplink_buffer_bytes is not None:
+                    if b == ROOT and cfg.tor_uplink_buffer_bytes is not None:
                         buffer_limit = cfg.tor_uplink_buffer_bytes
                     else:
                         buffer_limit = cfg.buffer_bytes
-                forward_ns = link.prop_delay_ns
-                if b not in hosts:
-                    forward_ns += topo.hop_proc_ns
-                self.ports[port_id] = Port(port_id, link.rate_bps, buffer_limit,
-                                           policy, engine, forward_ns,
-                                           deliver_fn=self._deliver)
+                forward_ns = cfg.prop_delay_ns
+                if b not in HOSTS:
+                    forward_ns += cfg.hop_proc_ns
+                self.ports[port_id] = Port(port_id, cfg.link_rate_bps,
+                                           buffer_limit, policy, engine,
+                                           forward_ns, deliver_fn=self._deliver)
         self.senders = {}
         self.receivers = {}
 
@@ -64,10 +61,9 @@ class Network:
         key = (src, dst)
         cached = self._routes.get(key)
         if cached is None:
-            nodes = self.topo.path(src, dst)
-            cached = tuple(self.ports[f"{a}->{b}"]
-                           for a, b in zip(nodes, nodes[1:]))
-            self._routes[key] = cached
+            nodes = path(src, dst)
+            cached = self._routes[key] = tuple(
+                self.ports[f"{a}->{b}"] for a, b in zip(nodes, nodes[1:]))
         return cached
 
     def _deliver(self, now, pkt):
@@ -139,9 +135,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     rng = random.Random(cfg.seed)
     flows, queries = build_schedule(cfg.scenario, rng, cfg.link_rate_bps)
 
-    topo = paper_preset(cfg.link_rate_bps, cfg.prop_delay_ns, cfg.hop_proc_ns)
     engine = Engine()
-    net = Network(topo, engine, cfg)
+    net = Network(engine, cfg)
 
     traces = {}
     if cfg.telemetry_mode != "off":

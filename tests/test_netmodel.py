@@ -5,7 +5,7 @@ from microburst.engine import Engine
 from microburst.marking import TailDrop, ThresholdEcn
 from microburst.netmodel import (ENQUEUE, Port, PortTrace, stamp_telemetry)
 from microburst.packets import ACK, DATA, Packet
-from microburst.topology import paper_preset, rack_of
+from microburst.topology import HOSTS, PORT_IDS, ROOT, TORS, path, tor_of
 from microburst.units import GBPS, quantize_down
 
 
@@ -152,16 +152,12 @@ def test_acks_share_queue_and_are_droppable():
 
 
 def test_preset_topology_shape():
-    topo = paper_preset()
-    assert len(topo.hosts) == 12
-    assert len(topo.switches) == 5
-    assert len(topo.links) == 16
-    topo.validate()
-    assert rack_of("h1") == 0 and rack_of("h10") == 3
-    path = topo.path("h1", "h10")
-    assert path == ["h1", "t1", "root", "t4", "h10"]
-    same_rack = topo.path("h11", "h10")
-    assert same_rack == ["h11", "t4", "h10"]
+    assert len(HOSTS) == 12
+    assert len(TORS + (ROOT,)) == 5
+    assert len(set(PORT_IDS)) == len(PORT_IDS) == 32
+    assert tor_of("h1") == "t1" and tor_of("h10") == "t4"
+    assert path("h1", "h10") == ["h1", "t1", "root", "t4", "h10"]
+    assert path("h11", "h10") == ["h11", "t4", "h10"]
 
 
 # -- the single-log recorder against the three-store reference ----------------

@@ -211,6 +211,12 @@ def test_validate_rejects_same_endpoints():
         validate_schedule([FlowSpec(0, "h1", "h1", 100, 0)])
 
 
+def test_validate_rejects_hosts_outside_the_preset():
+    for src, dst in (("h99", "h10"), ("h1", "h0"), ("h1", "root")):
+        with pytest.raises(InvalidParam, match="preset hosts"):
+            validate_schedule([FlowSpec(0, src, dst, 100, 0)])
+
+
 def test_validate_rejects_duplicate_ids():
     with pytest.raises(InvalidParam):
         validate_schedule([FlowSpec(0, "h1", "h2", 100, 0),
