@@ -1,9 +1,13 @@
+import glob
 import os
+import random
 
 import pytest
 import yaml
 
-from microburst.cli import main
+from microburst.cli import _plan, main
+from microburst.config import read_yaml
+from microburst.scenarios import build_schedule
 
 GOOD_CONFIG = {
     "seed": 5,
@@ -117,6 +121,10 @@ def test_missing_seed_exits_two(tmp_path, capsys):
 
 
 WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
+# base scenario of each kind a "scenario:<kind>" case names; other kinds
+# need no parameter beyond the one under test
+SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
+             "async_fanin": {"kind": "async_fanin", "n": 4}}
 
 
 @pytest.mark.parametrize("section, key, value, field", [
@@ -132,12 +140,22 @@ WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
     ("switch", "secn_mark_next", True, "switch.secn_mark_next"),
     ("switch", "secn_random_engine", True, "switch.secn_random_engine"),
     ("scenario", "query_fraction", 1, "scenario.query_fraction"),
+    ("scenario", "cdf_path", "no/such/sizes.cdf", "scenario.cdf_path"),
+    ("scenario:sync_fanin", "jitter_ns", -1, "scenario.jitter_ns"),
+    ("scenario:one_background", "jitter_ns", -1, "scenario.jitter_ns"),
+    ("scenario:background_same_hop", "jitter_ns", -1, "scenario.jitter_ns"),
+    ("scenario:background_prev_hop", "jitter_ns", -1, "scenario.jitter_ns"),
+    ("scenario:async_fanin", "window_ns", 1.5, "scenario.window_ns"),
+    ("scenario:async_fanin", "n", 0, "scenario.n"),
+    ("scenario:sync_fanin", "receiver", "h99", "scenario.receiver"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, section, key,
                                                value, field):
     raw = dict(GOOD_CONFIG)
-    if section == "scenario":
-        raw["scenario"] = dict(WEBSEARCH, **{key: value})
+    if section.startswith("scenario"):
+        kind = section.partition(":")[2] or "websearch"
+        raw["scenario"] = dict(SCENARIOS.get(kind, {"kind": kind}),
+                               **{key: value})
     else:
         raw[section] = {key: value}
     cfg = write_config(tmp_path, raw)
@@ -166,6 +184,25 @@ def test_sweep_creates_one_subdirectory_per_point(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     for n in (2, 4, 6):
         assert (out / f"n={n}" / "metrics.csv").exists()
+
+
+SHIPPED_CONFIGS = sorted(glob.glob(
+    os.path.join(os.path.dirname(__file__), os.pardir, "configs", "*.yaml")))
+
+
+def test_configs_directory_ships_examples():
+    assert len(SHIPPED_CONFIGS) >= 3
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_expands_into_scheduled_runs(path, tmp_path):
+    raw = read_yaml(path)
+    plan = _plan(raw, str(tmp_path))
+    assert len(plan) == len((raw.get("sweep") or {}).get("values", [None]))
+    for cfg, _ in plan:
+        flows, _ = build_schedule(cfg.scenario, random.Random(cfg.seed),
+                                  cfg.link_rate_bps)
+        assert flows
 
 
 def test_check_unknown_name_exits_two(capsys):
