@@ -75,13 +75,6 @@ def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns, rate_bps: int
     return (pkt_bytes - ri) / ri
 
 
-def threshold_overshoot_bytes(threshold_bytes: int, rate_bps: int, rtt_ns: int) -> float:
-    """Minimum queue overshoot before the first sender reacts to a
-    threshold mark, assuming the queue keeps growing at the port rate:
-    2*threshold + R*RTT."""
-    return 2 * threshold_bytes + rate_bps * rtt_ns / (8 * 1e9)
-
-
 class TailDrop:
     """No marking at all; overflow handling lives in the port."""
 

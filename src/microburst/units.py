@@ -24,11 +24,6 @@ def rate_time_to_bytes(rate_bps: int, dt_ns: int) -> int:
     return (rate_bps * dt_ns + 4 * NS_PER_S) // (8 * NS_PER_S)
 
 
-def slope_bps(dq_bytes: float, dt_ns: float) -> float:
-    """Queue growth expressed as a bit rate."""
-    return dq_bytes * 8.0 * NS_PER_S / dt_ns
-
-
 def quantize_down(value: int, step: int) -> int:
     """Floor to a multiple of `step` (telemetry register granularity)."""
     return value - value % step

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from microburst.marking import (InvalidRate, NoPreviousArrival, RandomSlopeEcn,
                                 SlopeEcn, SlopeThresholdEcn, TailDrop,
                                 ThresholdEcn, mark_probability_from_arrival,
-                                mark_probability_from_slope,
-                                threshold_overshoot_bytes)
+                                mark_probability_from_slope)
 from microburst.units import GBPS
 
 R = GBPS
@@ -70,13 +69,6 @@ def test_arrival_probability_branches():
 def test_arrival_probability_first_packet():
     with pytest.raises(NoPreviousArrival):
         mark_probability_from_arrival(1500, None, R)
-
-
-def test_overshoot_bound():
-    # threshold 32KB, 1Gbps, 50us: 64KB + 6.25KB
-    assert threshold_overshoot_bytes(32_000, R, 50_000) == 70_250
-    assert threshold_overshoot_bytes(0, R, 50_000) == 6_250
-    assert threshold_overshoot_bytes(32_000, R, 0) == 64_000
 
 
 # -- accumulator scheme -------------------------------------------------------

@@ -1,5 +1,5 @@
 from microburst.units import (GBPS, quantize_down, rate_time_to_bytes,
-                              serialization_ns, slope_bps)
+                              serialization_ns)
 
 
 def test_mss_serialization_at_gigabit():
@@ -20,11 +20,6 @@ def test_rate_time_product_rounds_to_nearest():
     # 1 Gbps * 3 ns = 0.375 bytes -> 0; * 5 ns = 0.625 -> 1
     assert rate_time_to_bytes(GBPS, 3) == 0
     assert rate_time_to_bytes(GBPS, 5) == 1
-
-
-def test_slope_conversion():
-    # 125 bytes per microsecond is 1 Gbps
-    assert slope_bps(125, 1_000) == 1e9
 
 
 def test_quantize_down():
