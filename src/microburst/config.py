@@ -42,7 +42,6 @@ TELEMETRY_MODES = ("exact", "fidelity", "off")
 
 DEFAULT_MONITOR_PORT = "root->t4"
 
-# output ports of the 12-host preset
 PRESET_PORTS = frozenset(PORT_IDS)
 
 # fields that count something and so must be integers >= the given minimum

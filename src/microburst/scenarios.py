@@ -19,7 +19,7 @@ class InvalidParam(Exception):
 
 
 FANIN_RECEIVER = "h10"
-FANIN_SENDERS = list(HOSTS[:9])
+FANIN_SENDERS = [f"h{i}" for i in range(1, 10)]
 # rack-interleaved order so small sender counts still span several racks
 SPREAD_SENDERS = ["h1", "h4", "h7", "h2", "h5", "h8", "h3", "h6", "h9"]
 BACKGROUND_SINKS = ["h11", "h12"]

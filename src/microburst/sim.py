@@ -62,8 +62,9 @@ class Network:
         cached = self._routes.get(key)
         if cached is None:
             nodes = path(src, dst)
-            cached = self._routes[key] = tuple(
-                self.ports[f"{a}->{b}"] for a, b in zip(nodes, nodes[1:]))
+            cached = tuple(self.ports[f"{a}->{b}"]
+                           for a, b in zip(nodes, nodes[1:]))
+            self._routes[key] = cached
         return cached
 
     def _deliver(self, now, pkt):

@@ -22,8 +22,8 @@ def tor_of(host: str) -> str:
 
 
 # undirected links: every host uplink, then every ToR uplink
-LINKS = tuple((host, tor_of(host)) for host in HOSTS) + \
-    tuple((tor, ROOT) for tor in TORS)
+LINKS = (tuple((host, tor_of(host)) for host in HOSTS)
+         + tuple((tor, ROOT) for tor in TORS))
 
 # output port names, one per link direction: "<from>-><to>"
 PORT_IDS = tuple(f"{a}->{b}" for link in LINKS

@@ -153,7 +153,7 @@ def test_acks_share_queue_and_are_droppable():
 
 def test_preset_topology_shape():
     assert len(HOSTS) == 12
-    assert len(TORS + (ROOT,)) == 5
+    assert len(set(TORS) | {ROOT}) == 5
     assert len(set(PORT_IDS)) == len(PORT_IDS) == 32
     assert tor_of("h1") == "t1" and tor_of("h10") == "t4"
     assert path("h1", "h10") == ["h1", "t1", "root", "t4", "h10"]
