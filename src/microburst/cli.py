@@ -7,44 +7,18 @@ write its CSV outputs, or run one of the named acceptance checks.
 """
 
 import argparse
-import copy
 import os
 import random
 import sys
 
 from .checks import CHECKS, run_check
-from .config import ConfigError, config_from_dict, read_yaml
+from .config import ConfigError, config_from_dict, expand, read_yaml
 from .scenarios import InvalidParam, build_schedule
-from .sim import run_simulation, write_outputs
+from .sim import run_plan, write_outputs
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
-
-
-def _apply_sweep_value(raw: dict, dotted: str, value):
-    node = raw
-    keys = dotted.split(".")
-    for key in keys[:-1]:
-        node = node.setdefault(key, {})
-    node[keys[-1]] = value
-
-
-def _plan(raw, out_dir):
-    """(config, output directory) of every run the file asks for: one, or
-    one per sweep value in a subdirectory named after the swept field."""
-    cfg = config_from_dict(raw)
-    if not cfg.sweep:
-        return [(cfg, out_dir)]
-    param = cfg.sweep["param"]
-    base = {k: v for k, v in raw.items() if k != "sweep"}
-    plan = []
-    for value in cfg.sweep["values"]:
-        point = copy.deepcopy(base)
-        _apply_sweep_value(point, param, value)
-        plan.append((config_from_dict(point),
-                     os.path.join(out_dir, f"{param.split('.')[-1]}={value}")))
-    return plan
 
 
 def cmd_run(args) -> int:
@@ -54,17 +28,21 @@ def cmd_run(args) -> int:
         raw = read_yaml(args.config)
         if args.seed is not None and isinstance(raw, dict):
             raw = dict(raw, seed=args.seed)
-        plan = _plan(raw, args.out)
-        for cfg, _ in plan:
+        sweep = config_from_dict(raw).sweep
+        base = {k: v for k, v in raw.items() if k != "sweep"}
+        plan = expand(base, {sweep["param"]: sweep["values"]} if sweep else {})
+        for _, cfg in plan:
             build_schedule(cfg.scenario, random.Random(cfg.seed),
                            cfg.link_rate_bps)
     except (ConfigError, InvalidParam) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        for cfg, out_dir in plan:
-            write_outputs(run_simulation(cfg), out_dir)
+        for label, result in run_plan(plan, lambda result: result):
+            out_dir = os.path.join(args.out, *label)
+            write_outputs(result, out_dir)
             print(f"wrote {out_dir}")
+            del result     # free this run before the next one is built
     except Exception as exc:   # simulation failure is an internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -11,6 +11,8 @@ congestion-control algorithm with a switch marking policy:
     DCTCP+SL-ECN  DCTCP               slope below threshold, all above
 """
 
+import copy
+import itertools
 from dataclasses import dataclass, field, asdict
 
 import yaml
@@ -223,6 +225,26 @@ def config_from_dict(raw: dict) -> RunConfig:
     except TypeError as exc:
         raise ConfigError("<root>", str(exc)) from None
     return cfg.validate()
+
+
+def expand(raw: dict, axes: dict) -> list:
+    """``(label, RunConfig)`` of every point of the sectioned config ``raw``
+    swept over ``axes``, an ordered ``{dotted.path: values}`` with the first
+    axis outermost.  A label, one ``key=value`` per axis, names a sweep's
+    output subdirectory."""
+    points = []
+    for values in itertools.product(*axes.values()):
+        point = copy.deepcopy(raw)
+        label = []
+        for dotted, value in zip(axes, values):
+            *parents, key = dotted.split(".")
+            node = point
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[key] = value
+            label.append(f"{key}={value}")
+        points.append((tuple(label), config_from_dict(point)))
+    return points
 
 
 def read_yaml(path: str):

@@ -224,6 +224,14 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                      first_ece_cut_ns=first_ece)
 
 
+def run_plan(plan, measure):
+    """Run the ``(label, RunConfig)`` points of ``plan`` in order, yielding
+    ``(label, measure(result))``.  ``run_simulation`` is looked up at each
+    call, so a wrapper bound onto this module sees every run."""
+    for label, cfg in plan:
+        yield label, measure(run_simulation(cfg))
+
+
 def write_outputs(result: RunResult, out_dir: str) -> None:
     from .analysis import compute_metrics   # local import: analysis uses numpy
 

@@ -19,49 +19,49 @@ def report(result):
 
 
 def test_criterion_01_law1_slope_equals_port_rate():
-    report(checks.check_law1())
+    report(checks.run_check("law1"))
 
 
 def test_criterion_02_law2_slope_below_port_rate_with_background():
-    report(checks.check_law2())
+    report(checks.run_check("law2"))
 
 
 def test_criterion_03_law3_hidden_buffer_bound():
-    report(checks.check_law3())
+    report(checks.run_check("law3"))
 
 
 def test_criterion_04_threshold_marking_overshoot():
-    report(checks.check_overshoot())
+    report(checks.run_check("overshoot"))
 
 
 def test_criterion_05_slope_marking_suppression():
-    report(checks.check_suppression())
+    report(checks.run_check("suppression"))
 
 
 def test_criterion_06_dctcp_with_slope_marking():
-    report(checks.check_dctcp())
+    report(checks.run_check("dctcp"))
 
 
 def test_criterion_07_marking_equivalence_property():
-    report(checks.check_equivalence())
+    report(checks.run_check("equivalence"))
 
 
 def test_criterion_08_utilization():
-    report(checks.check_utilization())
+    report(checks.run_check("utilization"))
 
 
 def test_criterion_09_incast_onset_ordering():
-    report(checks.check_incast())
+    report(checks.run_check("incast"))
 
 
 def test_criterion_11_pacing_ineffective():
-    report(checks.check_pacing())
+    report(checks.run_check("pacing"))
 
 
 def test_criterion_12_determinism():
-    report(checks.check_determinism())
+    report(checks.run_check("determinism"))
 
 
 @pytest.mark.slow
 def test_criterion_10_workload_improvement():
-    report(checks.check_workload())
+    report(checks.run_check("workload"))

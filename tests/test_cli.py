@@ -5,8 +5,8 @@ import random
 import pytest
 import yaml
 
-from microburst.cli import _plan, main
-from microburst.config import read_yaml
+from microburst.cli import main
+from microburst.config import expand, read_yaml
 from microburst.scenarios import build_schedule
 
 GOOD_CONFIG = {
@@ -191,11 +191,16 @@ SHIPPED_CONFIGS = sorted(glob.glob(
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
-def test_shipped_config_expands_into_scheduled_runs(path, tmp_path):
+def test_shipped_config_expands_into_scheduled_runs(path):
     raw = read_yaml(path)
-    plan = _plan(raw, str(tmp_path))
-    assert len(plan) == len((raw.get("sweep") or {}).get("values", [None]))
-    for cfg, _ in plan:
+    sweep = raw.pop("sweep", None)
+    axes = {sweep["param"]: sweep["values"]} if sweep else {}
+    plan = expand(raw, axes)
+    # one point per sweep value, labelled as its output subdirectory
+    assert [label for label, _ in plan] == (
+        [(f"{sweep['param'].split('.')[-1]}={v}",) for v in sweep["values"]]
+        if sweep else [()])
+    for _, cfg in plan:
         flows, _ = build_schedule(cfg.scenario, random.Random(cfg.seed),
                                   cfg.link_rate_bps)
         assert flows
