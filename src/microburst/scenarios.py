@@ -125,6 +125,7 @@ def gen_one_background(fanin_count=8, response_bytes=1_000_000,
                        jitter_ns=0, rng=None):
     """One long-lived flow first, then a fan-in burst at the same bottleneck."""
     _check_int("jitter_ns", jitter_ns)
+    _check_int("fanin_count", fanin_count, 1)
     flows = [FlowSpec(0, "h9", "h11", background_bytes, 0, burst=False)]
     senders = [f"h{i}" for i in range(1, 9)]
     for i in range(fanin_count):
@@ -141,6 +142,7 @@ def gen_background_same_hop(background_count=3, fanin_count=12,
     """Background flows already queueing at the fan-in port when the burst
     starts; fan-in senders exclude the background hosts."""
     _check_int("jitter_ns", jitter_ns)
+    _check_int("fanin_count", fanin_count, 1)
     _check_int("background_count", background_count, 1)
     bg_srcs = ["h1", "h4", "h7"]
     flows = []
@@ -164,6 +166,7 @@ def gen_background_prev_hop(background_count=3, fanin_count=6,
     moves the congestion point downstream and the rack's built-up queue
     drains into it (the hidden buffer)."""
     _check_int("jitter_ns", jitter_ns)
+    _check_int("fanin_count", fanin_count, 1)
     bg_srcs = ["h7", "h8", "h9"]
     flows = []
     for i in range(background_count):
@@ -235,17 +238,21 @@ def load_size_cdf(path=None):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidParam(f"size CDF line {lineno}: expected 2 columns")
-        size, prob = int(parts[0]), float(parts[1])
+        try:
+            size, prob = line.split()
+            size, prob = int(size), float(prob)
+        except ValueError:
+            raise InvalidParam(f"scenario.cdf_path: line {lineno}: expected "
+                               f"'size_bytes cum_probability', got {line!r}"
+                               ) from None
         if sizes and (size <= sizes[-1] or prob <= probs[-1]):
-            raise InvalidParam(f"size CDF line {lineno}: columns must be "
-                               "strictly increasing")
+            raise InvalidParam(f"scenario.cdf_path: line {lineno}: columns "
+                               "must be strictly increasing")
         sizes.append(size)
         probs.append(prob)
     if not sizes or abs(probs[-1] - 1.0) > 1e-9:
-        raise InvalidParam("size CDF must end at cumulative probability 1.0")
+        raise InvalidParam("scenario.cdf_path: the CDF must end at "
+                           "cumulative probability 1.0")
     return sizes, probs
 
 
@@ -280,6 +287,7 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
                            f"got {query_fraction}")
     if duration_ns <= 0:
         raise InvalidParam("scenario.duration_ns: must be > 0")
+    _check_int("query_bytes", query_bytes, 1)
     _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
     responders = [h for h in HOSTS if h != master]

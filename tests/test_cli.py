@@ -125,6 +125,9 @@ WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
 # need no parameter beyond the one under test
 SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
              "async_fanin": {"kind": "async_fanin", "n": 4}}
+BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
+            "one_column.cdf": "1000\n", "decreasing.cdf": "1000 0.5\n900 1.0\n",
+            "short.cdf": "1000 0.5\n"}
 
 
 @pytest.mark.parametrize("section, key, value, field", [
@@ -141,6 +144,15 @@ SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
     ("switch", "secn_random_engine", True, "switch.secn_random_engine"),
     ("scenario", "query_fraction", 1, "scenario.query_fraction"),
     ("scenario", "cdf_path", "no/such/sizes.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "letters.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "bad_prob.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "one_column.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "decreasing.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "short.cdf", "scenario.cdf_path"),
+    ("scenario", "query_bytes", 0, "scenario.query_bytes"),
+    ("scenario:one_background", "fanin_count", -1, "scenario.fanin_count"),
+    ("scenario:background_same_hop", "fanin_count", -1, "scenario.fanin_count"),
+    ("scenario:background_prev_hop", "fanin_count", -1, "scenario.fanin_count"),
     ("scenario:sync_fanin", "jitter_ns", -1, "scenario.jitter_ns"),
     ("scenario:one_background", "jitter_ns", -1, "scenario.jitter_ns"),
     ("scenario:background_same_hop", "jitter_ns", -1, "scenario.jitter_ns"),
@@ -149,8 +161,12 @@ SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
     ("scenario:async_fanin", "n", 0, "scenario.n"),
     ("scenario:sync_fanin", "receiver", "h99", "scenario.receiver"),
 ])
-def test_bad_value_exits_two_before_any_output(tmp_path, capsys, section, key,
-                                               value, field):
+def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
+                                               section, key, value, field):
+    # malformed size CDFs, named relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_CDFS.items():
+        (tmp_path / name).write_text(text)
     raw = dict(GOOD_CONFIG)
     if section.startswith("scenario"):
         kind = section.partition(":")[2] or "websearch"
@@ -161,7 +177,7 @@ def test_bad_value_exits_two_before_any_output(tmp_path, capsys, section, key,
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
     assert not out.exists()
 
 
