@@ -165,9 +165,6 @@ class RunConfig:
     def policy_kind(self):
         return PROTOCOLS[self.protocol][2]
 
-    def to_dict(self):
-        return asdict(self)
-
 
 _SECTIONS = {
     "network": ("link_rate_bps", "prop_delay_ns", "hop_proc_ns",
@@ -264,7 +261,7 @@ def load_config(path: str) -> RunConfig:
 
 def effective_yaml(cfg: RunConfig) -> str:
     """``cfg`` in the sectioned schema, so ``config_from_dict`` loads it back."""
-    flat = cfg.to_dict()
+    flat = asdict(cfg)
     raw = {key: flat[key] for key in _TOP_FIELDS}
     for section, names in _SECTIONS.items():
         raw[section] = {name: flat[_field_name(section, name)]

@@ -46,17 +46,6 @@ class NoPreviousArrival(Exception):
     """First arrival at a port has no inter-arrival gap; treat as prob 0."""
 
 
-def mark_probability_from_slope(slope_bps: float, rate_bps: float) -> float:
-    """Marking probability as a function of queue-growth slope."""
-    if rate_bps <= 0:
-        raise InvalidRate(f"rate must be > 0, got {rate_bps}")
-    if slope_bps <= 0:
-        return 0.0
-    if slope_bps >= rate_bps:
-        return 1.0
-    return slope_bps / rate_bps
-
-
 def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns, rate_bps: int) -> float:
     """Per-arrival form of the slope probability, in byte units.
 

@@ -13,10 +13,6 @@ from .packets import Packet, DATA, ACK, ACK_SIZE
 NEWRENO = "newreno"
 DCTCP = "dctcp"
 
-SLOW_START = "slow_start"
-CONGESTION_AVOIDANCE = "congestion_avoidance"
-FAST_RECOVERY = "fast_recovery"
-
 RTO_MAX_NS = 10_000_000_000
 
 
@@ -102,12 +98,6 @@ class Sender:
         self.on_complete = on_complete
 
     # -- state view ---------------------------------------------------------
-
-    @property
-    def state(self):
-        if self.in_recovery:
-            return FAST_RECOVERY
-        return SLOW_START if self.cwnd < self.ssthresh else CONGESTION_AVOIDANCE
 
     def inflight(self):
         return self.next_seq - self.highest_acked

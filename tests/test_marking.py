@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from microburst.marking import (InvalidRate, NoPreviousArrival, RandomSlopeEcn,
                                 SlopeEcn, SlopeThresholdEcn, TailDrop,
-                                ThresholdEcn, mark_probability_from_arrival,
-                                mark_probability_from_slope)
+                                ThresholdEcn, mark_probability_from_arrival)
 from microburst.units import GBPS
 
 R = GBPS
@@ -44,19 +43,6 @@ def run_policy(policy, arrivals):
 
 # -- closed-form probability -------------------------------------------------
 
-def test_slope_probability_branches():
-    assert mark_probability_from_slope(-0.2 * R, R) == 0.0
-    assert mark_probability_from_slope(R, R) == 1.0
-    assert mark_probability_from_slope(R / 2, R) == 0.5
-    assert mark_probability_from_slope(0, R) == 0.0
-    assert mark_probability_from_slope(1.5 * R, R) == 1.0
-
-
-def test_slope_probability_invalid_rate():
-    with pytest.raises(InvalidRate):
-        mark_probability_from_slope(1.0, 0)
-
-
 def test_arrival_probability_branches():
     # R*I = 1500 at I = 12us -> boundary, prob 0
     assert mark_probability_from_arrival(1500, 12_000, R) == 0.0
@@ -64,6 +50,11 @@ def test_arrival_probability_branches():
     assert mark_probability_from_arrival(1500, 8_000, R) == 0.5
     # R*I = 700 at I = 5.6us -> saturated
     assert mark_probability_from_arrival(1500, 5_600, R) == 1.0
+
+
+def test_arrival_probability_invalid_rate():
+    with pytest.raises(InvalidRate):
+        mark_probability_from_arrival(1500, 12_000, 0)
 
 
 def test_arrival_probability_first_packet():

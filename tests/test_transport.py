@@ -1,6 +1,5 @@
 from microburst.packets import ACK, Packet
-from microburst.transport import (CONGESTION_AVOIDANCE, SLOW_START,
-                                  TransportParams)
+from microburst.transport import TransportParams
 
 MSS = 1500
 
@@ -54,7 +53,7 @@ def test_congestion_avoidance_one_mss_per_rtt(one_link):
     s.start(0)
     s.cwnd = s.ssthresh = 10 * MSS
     s.next_seq = 10 * MSS
-    assert s.state == CONGESTION_AVOIDANCE
+    assert not s.in_recovery and s.cwnd >= s.ssthresh   # congestion avoidance
     for i in range(1, 11):      # one full window of ACKs = one RTT
         s.on_ack(ack(0, i * MSS), i * 100)
     assert s.cwnd == 11 * MSS
@@ -171,7 +170,7 @@ def test_timeout_backoff_sequence(one_link):
     assert s.rto == 40_000_000
     assert s.timeouts == 2
     assert s.cwnd == MSS
-    assert s.state == SLOW_START
+    assert not s.in_recovery and s.cwnd < s.ssthresh    # slow start
 
 
 def test_rto_floor_dominates_at_datacenter_rtt(one_link):
