@@ -245,9 +245,11 @@ def load_size_cdf(path=None):
             raise InvalidParam(f"scenario.cdf_path: line {lineno}: expected "
                                f"'size_bytes cum_probability', got {line!r}"
                                ) from None
-        if sizes and (size <= sizes[-1] or prob <= probs[-1]):
-            raise InvalidParam(f"scenario.cdf_path: line {lineno}: columns "
-                               "must be strictly increasing")
+        if (size < 1 or not 0 < prob <= 1
+                or sizes and (size <= sizes[-1] or prob <= probs[-1])):
+            raise InvalidParam(f"scenario.cdf_path: line {lineno}: sizes must "
+                               "be >= 1 and probabilities in (0, 1], both "
+                               "strictly increasing")
         sizes.append(size)
         probs.append(prob)
     if not sizes or abs(probs[-1] - 1.0) > 1e-9:

@@ -127,7 +127,8 @@ SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
              "async_fanin": {"kind": "async_fanin", "n": 4}}
 BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
             "one_column.cdf": "1000\n", "decreasing.cdf": "1000 0.5\n900 1.0\n",
-            "short.cdf": "1000 0.5\n"}
+            "short.cdf": "1000 0.5\n", "zero_size.cdf": "0 1.0\n",
+            "nan_prob.cdf": "1000 0.5\n2000 nan\n"}
 
 
 @pytest.mark.parametrize("section, key, value, field", [
@@ -149,6 +150,8 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario", "cdf_path", "one_column.cdf", "scenario.cdf_path"),
     ("scenario", "cdf_path", "decreasing.cdf", "scenario.cdf_path"),
     ("scenario", "cdf_path", "short.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "zero_size.cdf", "scenario.cdf_path"),
+    ("scenario", "cdf_path", "nan_prob.cdf", "scenario.cdf_path"),
     ("scenario", "query_bytes", 0, "scenario.query_bytes"),
     ("scenario:one_background", "fanin_count", -1, "scenario.fanin_count"),
     ("scenario:background_same_hop", "fanin_count", -1, "scenario.fanin_count"),
