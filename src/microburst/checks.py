@@ -7,7 +7,6 @@ each run, and a verdict: PASS/FAIL notes over the measures in plan order
 that print the measured values against the check's tolerance.
 """
 
-import hashlib
 import tempfile
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -132,6 +131,7 @@ _OUTPUTS = ("trace.csv", "metrics.csv", "flows.csv", "summary.txt")
 
 def _output_digests(res):
     """sha256 of each output file the run writes."""
+    import hashlib   # local import: loading OpenSSL adds ~4 ms to every import
     with tempfile.TemporaryDirectory() as tmp:
         write_outputs(res, tmp)
         return {name: hashlib.sha256(Path(tmp, name).read_bytes()).hexdigest()
