@@ -206,7 +206,7 @@ _BURST = {"scenario": {"kind": "sync_fanin", "n": 9,
           "metrics": {"stddev_after_ns": 10_000_000}}
 
 
-@_check("overshoot", _BURST, lambda seed: {"protocol": ["ECN*"]}, _peak)
+@_check("overshoot", dict(_BURST, protocol="ECN*"), measure=_peak)
 def _overshoot(result, values, axes):
     """Threshold marking overshoots: queue exceeds twice the threshold."""
     maxq = values[0]
