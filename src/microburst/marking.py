@@ -1,12 +1,13 @@
 """Admission-time marking policies for switch output ports.
 
-Four policies are pluggable per port:
+Three policies are pluggable per port:
 
 * ``TailDrop``      -- never marks (drops happen upstream of any policy).
 * ``ThresholdEcn``  -- mark when the instantaneous queue exceeds a threshold.
 * ``SlopeEcn``      -- mark in proportion to the queue-growth slope, realized
-                       divider-free with a byte accumulator.
-* ``SlopeThresholdEcn`` -- slope marking below the threshold, mark-all above.
+                       divider-free with a byte accumulator; given a queue
+                       threshold, it is the hybrid: slope marking below the
+                       threshold, mark-all above.
 
 The slope policy infers the instantaneous arrival rate from each packet's
 size P and the inter-arrival gap I: arrival rate P/I against drain rate R
@@ -93,29 +94,33 @@ class SlopeEcn:
     the accumulator exceeds R*I the current packet is marked and R*I is
     subtracted.  State volume is one signed counter and the last arrival
     time, as a switch pipeline would keep per port.
+
+    Given ``threshold_bytes``, an arrival above it is marked outright; the
+    mark zeroes the accumulator and advances the arrival chain.
     """
 
-    __slots__ = ("rate_bps", "accumulator", "last_arrival_ns")
+    __slots__ = ("rate_bps", "threshold_bytes", "accumulator",
+                 "last_arrival_ns")
 
-    def __init__(self, rate_bps: int):
+    def __init__(self, rate_bps: int, threshold_bytes=None):
         if rate_bps <= 0:
             raise InvalidRate(f"rate must be > 0, got {rate_bps}")
         self.rate_bps = rate_bps
+        self.threshold_bytes = threshold_bytes
         self.accumulator = 0
         self.last_arrival_ns = None
-
-    def reset_on_external_mark(self, now_ns):
-        """A mark decided outside the slope scheme (hybrid threshold branch)
-        still consumes the accumulated debt and advances the arrival chain."""
-        self.last_arrival_ns = now_ns
-        self.accumulator = 0
 
     def decide(self, queue_bytes, pkt_bytes, now_ns):
         last = self.last_arrival_ns
         self.last_arrival_ns = now_ns
+        threshold = self.threshold_bytes
+        if threshold is not None and queue_bytes > threshold:
+            self.accumulator = 0
+            return True
         if last is None:
             return False
-        ri = rate_time_to_bytes(self.rate_bps, now_ns - last)
+        # R*I, units.rate_time_to_bytes written out
+        ri = (self.rate_bps * (now_ns - last) + 4_000_000_000) // 8_000_000_000
         if ri == 0:
             # Two arrivals in the same nanosecond: unbounded rate, mark.
             return True
@@ -157,20 +162,3 @@ class RandomSlopeEcn:
         if prob >= 1.0:
             return True
         return self.rng.random() < prob
-
-
-class SlopeThresholdEcn:
-    """Hybrid: below the queue threshold defer to slope marking, above it
-    mark everything (and clear the slope state)."""
-
-    __slots__ = ("threshold_bytes", "slope")
-
-    def __init__(self, threshold_bytes: int, slope):
-        self.threshold_bytes = threshold_bytes
-        self.slope = slope
-
-    def decide(self, queue_bytes, pkt_bytes, now_ns):
-        if queue_bytes > self.threshold_bytes:
-            self.slope.reset_on_external_mark(now_ns)
-            return True
-        return self.slope.decide(queue_bytes, pkt_bytes, now_ns)

@@ -111,12 +111,13 @@ def _forward(now, arg):
 
 
 class Port:
-    """One output port: FIFO queue draining at line rate."""
+    """One output port: FIFO queue draining at line rate.  The head of the
+    queue is the packet on the wire, so the port is idle iff it is empty."""
 
     __slots__ = ("port_id", "rate_bps", "buffer_limit", "policy", "engine",
-                 "queue", "queue_bytes", "busy", "forward_ns", "deliver_fn",
+                 "queue", "queue_bytes", "ser_ns", "forward_ns", "deliver_fn",
                  "trace", "bytes_in", "bytes_out", "bytes_dropped",
-                 "drops", "marks", "max_queue_bytes")
+                 "drops", "marks", "max_queue_bytes", "_tx_done_fn")
 
     def __init__(self, port_id, rate_bps, buffer_limit, policy, engine,
                  forward_ns=0, deliver_fn=None):
@@ -127,7 +128,7 @@ class Port:
         self.engine = engine
         self.queue = deque()
         self.queue_bytes = 0
-        self.busy = False
+        self.ser_ns = {}    # size -> wire time at this port's rate
         self.forward_ns = forward_ns
         self.deliver_fn = deliver_fn
         self.trace = None
@@ -137,6 +138,7 @@ class Port:
         self.drops = 0
         self.marks = 0
         self.max_queue_bytes = 0
+        self._tx_done_fn = self._tx_done   # one bound method, not one per hop
 
     def enqueue(self, pkt, now):
         size = pkt.size
@@ -163,25 +165,31 @@ class Port:
             self.max_queue_bytes = qb
         if self.trace is not None:
             self.trace.record_enqueue(now, qb - size, qb, pkt, marked)
-        self.queue.append(pkt)
-        if not self.busy:
-            self.busy = True
-            self.engine.schedule(now + serialization_ns(size, self.rate_bps),
-                                 self._tx_done, None)
+        queue = self.queue
+        queue.append(pkt)
+        if len(queue) == 1:
+            try:
+                ns = self.ser_ns[size]
+            except KeyError:
+                ns = self.ser_ns[size] = serialization_ns(size, self.rate_bps)
+            self.engine.schedule(now + ns, self._tx_done_fn, None)
 
     def _tx_done(self, now, _):
         queue = self.queue
         pkt = queue.popleft()
-        self.queue_bytes -= pkt.size
-        self.bytes_out += pkt.size
+        size = pkt.size
+        qb = self.queue_bytes - size
+        self.queue_bytes = qb
+        self.bytes_out += size
         if self.trace is not None:
-            self.trace.record_dequeue(now, self.queue_bytes, pkt)
+            self.trace.record_dequeue(now, qb, pkt)
         if queue:
-            self.engine.schedule(
-                now + serialization_ns(queue[0].size, self.rate_bps),
-                self._tx_done, None)
-        else:
-            self.busy = False
+            size = queue[0].size
+            try:
+                ns = self.ser_ns[size]
+            except KeyError:
+                ns = self.ser_ns[size] = serialization_ns(size, self.rate_bps)
+            self.engine.schedule(now + ns, self._tx_done_fn, None)
         hop = pkt.hop + 1
         pkt.hop = hop
         route = pkt.route

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .config import RunConfig, effective_yaml
 from .engine import Engine
-from .marking import TailDrop, ThresholdEcn, SlopeEcn, SlopeThresholdEcn
+from .marking import TailDrop, ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA
 from .scenarios import build_schedule
@@ -25,10 +25,9 @@ def _make_policy(cfg: RunConfig):
         return _TAILDROP
     if kind == "threshold":
         return ThresholdEcn(cfg.ecn_threshold_bytes)
-    slope = SlopeEcn(cfg.link_rate_bps)
     if kind == "slope":
-        return slope
-    return SlopeThresholdEcn(cfg.ecn_threshold_bytes, slope)
+        return SlopeEcn(cfg.link_rate_bps)
+    return SlopeEcn(cfg.link_rate_bps, cfg.ecn_threshold_bytes)
 
 
 class Network:

@@ -114,9 +114,8 @@ class Sender:
     # -- segment emission ---------------------------------------------------
 
     def _emit(self, seq_lo, size, now, retransmit):
-        pkt = Packet(self.flow_id, DATA, size, self.route,
-                     seq_lo=seq_lo, seq_hi=seq_lo + size,
-                     ecn_capable=self.ecn_capable)
+        pkt = Packet(self.flow_id, DATA, size, self.route, seq_lo,
+                     seq_lo + size, 0, self.ecn_capable)
         if self.cwr_pending:
             pkt.cwr = True
             self.cwr_pending = False
@@ -376,7 +375,7 @@ class Receiver:
                 self.sticky_ece = True
             ece = self.sticky_ece
 
-        ack = Packet(self.flow_id, ACK, ACK_SIZE, self.route,
-                     ack_no=self.cum_ack)
+        ack = Packet(self.flow_id, ACK, ACK_SIZE, self.route, 0, 0,
+                     self.cum_ack)
         ack.ece_echo = ece
         self.route[0].enqueue(ack, now)

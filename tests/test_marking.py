@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microburst.marking import (InvalidRate, NoPreviousArrival, RandomSlopeEcn,
-                                SlopeEcn, SlopeThresholdEcn, TailDrop,
-                                ThresholdEcn, mark_probability_from_arrival)
-from microburst.units import GBPS
+                                SlopeEcn, TailDrop, ThresholdEcn,
+                                mark_probability_from_arrival)
+from microburst.units import GBPS, rate_time_to_bytes
 
 R = GBPS
 MSS = 1500
@@ -162,21 +162,96 @@ def test_threshold_marks_iff_queue_above():
 
 
 def test_hybrid_marks_above_threshold():
-    policy = SlopeThresholdEcn(32_000, SlopeEcn(R))
+    policy = SlopeEcn(R, 32_000)
     assert policy.decide(40_000, MSS, 0) is True
 
 
 def test_hybrid_defers_to_slope_below_threshold():
-    policy = SlopeThresholdEcn(32_000, SlopeEcn(R))
+    policy = SlopeEcn(R, 32_000)
     marks = sum(policy.decide(10_000, s, t) for s, t in constant_stream(1.0, 200))
     assert marks == 0
 
 
 def test_hybrid_threshold_mark_resets_accumulator():
-    slope = SlopeEcn(R)
-    policy = SlopeThresholdEcn(32_000, slope)
+    policy = SlopeEcn(R, 32_000)
     for size, t in constant_stream(1.9, 50):
         policy.decide(10_000, size, t)
-    assert slope.accumulator > 0 or slope.last_arrival_ns is not None
+    assert policy.accumulator > 0 or policy.last_arrival_ns is not None
     policy.decide(40_000, MSS, 10**9)
-    assert slope.accumulator == 0
+    assert policy.accumulator == 0
+
+
+# -- the hybrid as one policy matches the two nested ones it replaced ----------
+
+class NestedSlopeEcn:
+    """Reference: the slope accumulator on its own, with the reset the
+    hybrid's threshold branch applies to it."""
+
+    def __init__(self, rate_bps):
+        self.rate_bps = rate_bps
+        self.accumulator = 0
+        self.last_arrival_ns = None
+
+    def reset_on_external_mark(self, now_ns):
+        self.last_arrival_ns = now_ns
+        self.accumulator = 0
+
+    def decide(self, queue_bytes, pkt_bytes, now_ns):
+        last = self.last_arrival_ns
+        self.last_arrival_ns = now_ns
+        if last is None:
+            return False
+        ri = rate_time_to_bytes(self.rate_bps, now_ns - last)
+        if ri == 0:
+            return True
+        inc = pkt_bytes - ri
+        if inc > ri:
+            inc = ri
+        acc = self.accumulator + inc
+        if acc < 0:
+            acc = 0
+        if acc > ri:
+            self.accumulator = acc - ri
+            return True
+        self.accumulator = acc
+        return False
+
+
+class NestedSlopeThresholdEcn:
+    """Reference hybrid: mark-all above the threshold (resetting the inner
+    slope policy), else defer to the inner slope policy."""
+
+    def __init__(self, threshold_bytes, slope):
+        self.threshold_bytes = threshold_bytes
+        self.slope = slope
+
+    def decide(self, queue_bytes, pkt_bytes, now_ns):
+        if queue_bytes > self.threshold_bytes:
+            self.slope.reset_on_external_mark(now_ns)
+            return True
+        return self.slope.decide(queue_bytes, pkt_bytes, now_ns)
+
+
+# (queue bytes, packet size, gap since the previous arrival); gap 0 gives
+# same-nanosecond arrivals, queues straddle the 32 KB threshold
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 64_000), st.sampled_from([1, 64, 999, 1500, 9000]),
+              st.one_of(st.just(0), st.integers(0, 30_000))),
+    max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([GBPS, 10 * GBPS, 25 * GBPS, 40 * GBPS]),
+       st.one_of(st.none(), st.sampled_from([0, 1500, 32_000])), _ARRIVALS)
+def test_merged_hybrid_matches_nested_policies(rate, threshold, arrivals):
+    merged = SlopeEcn(rate, threshold)
+    slope = NestedSlopeEcn(rate)
+    nested = slope if threshold is None else NestedSlopeThresholdEcn(
+        threshold, slope)
+    now = 0
+    for queue, size, gap in arrivals:
+        now += gap
+        assert (merged.decide(queue, size, now)
+                is nested.decide(queue, size, now))
+        assert merged.accumulator == slope.accumulator
+        assert merged.last_arrival_ns == slope.last_arrival_ns

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from microburst.analysis import QueueTrace
@@ -6,7 +7,7 @@ from microburst.marking import TailDrop, ThresholdEcn
 from microburst.netmodel import (ENQUEUE, Port, PortTrace, stamp_telemetry)
 from microburst.packets import ACK, DATA, Packet
 from microburst.topology import HOSTS, PORT_IDS, ROOT, TORS, path, tor_of
-from microburst.units import GBPS, quantize_down
+from microburst.units import GBPS, quantize_down, serialization_ns
 
 
 def make_port(engine, sink, buffer_limit=None, policy=None, rate=GBPS):
@@ -74,6 +75,20 @@ def test_serialization_time_mss():
     assert sink[0][0] == 12_000
 
 
+@pytest.mark.parametrize("rate", [GBPS, 10 * GBPS, 25 * GBPS, 40 * GBPS])
+@pytest.mark.parametrize("size", [1, 64, 999, 1500, 9000])
+def test_first_departure_after_one_wire_time(rate, size):
+    engine = Engine()
+    sink = []
+    port = make_port(engine, sink, rate=rate)
+    engine.run_until(777)
+    port.enqueue(data_pkt(size), 777)
+    port.enqueue(data_pkt(size, seq=size), 777)
+    engine.run_until(10**9)
+    wire = serialization_ns(size, rate)
+    assert [t for t, _ in sink] == [777 + wire, 777 + 2 * wire]
+
+
 def test_back_to_back_interdeparture_at_line_rate():
     engine = Engine()
     sink = []
@@ -89,9 +104,9 @@ def test_port_idle_after_drain():
     sink = []
     port = make_port(engine, sink)
     port.enqueue(data_pkt(), 0)
-    assert port.busy is True
+    assert len(port.queue) == 1     # the packet on the wire
     engine.run_until(100_000)
-    assert port.busy is False
+    assert not port.queue
     assert port.queue_bytes == 0
 
 
@@ -101,7 +116,7 @@ def test_work_conservation_and_byte_conservation():
     port = make_port(engine, sink, buffer_limit=3_000, policy=TailDrop())
     for i in range(5):
         port.enqueue(data_pkt(seq=i * 1500), 0)
-    assert port.busy is True
+    assert len(port.queue) == 2
     assert port.bytes_in == port.bytes_out + port.queue_bytes  # admitted
     engine.run_until(1_000_000)
     assert port.bytes_in == port.bytes_out + port.queue_bytes
