@@ -149,11 +149,12 @@ class RunConfig:
                 raise ConfigError("scenario.load",
                                   f"must be in (0,1), got {load!r}")
         if self.sweep is not None:
-            if (not isinstance(self.sweep, dict)
-                    or not isinstance(self.sweep.get("param"), str)
-                    or not isinstance(self.sweep.get("values"), list)):
-                raise ConfigError("sweep", "needs a 'param' name and a "
-                                  "list of 'values'")
+            sweep = self.sweep if isinstance(self.sweep, dict) else {}
+            param, values = sweep.get("param"), sweep.get("values")
+            if (not isinstance(param, str) or not all(param.split("."))
+                    or not isinstance(values, list) or not values):
+                raise ConfigError("sweep", "needs a dotted 'param' name and "
+                                  "a non-empty list of 'values'")
         return self
 
     def host_algorithm(self):
@@ -238,6 +239,9 @@ def expand(raw: dict, axes: dict) -> list:
             node = point
             for parent in parents:
                 node = node.setdefault(parent, {})
+                if not isinstance(node, dict):
+                    raise ConfigError("sweep", f"{dotted!r}: {parent!r} "
+                                      f"is not a mapping")
             node[key] = value
             label.append(f"{key}={value}")
         points.append((tuple(label), config_from_dict(point)))

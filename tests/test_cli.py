@@ -184,13 +184,24 @@ def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
-def test_sweep_with_bad_point_exits_two_and_writes_nothing(tmp_path, capsys):
-    raw = dict(GOOD_CONFIG)
-    raw["sweep"] = {"param": "scenario.n", "values": [2, 0, 4]}
+@pytest.mark.parametrize("sweep, field", [
+    ({"param": "scenario.n", "values": [2, 0, 4]}, "scenario.n"),
+    ({"param": "seed.x", "values": [1]}, "sweep"),        # through a number
+    ({"param": "scenario.n.x", "values": [1]}, "sweep"),  # and in a section
+    ({"param": "scenario.n", "values": []}, "sweep"),     # no point to run
+    ({"param": "", "values": [1]}, "sweep"),              # no key at all
+    ({"param": "scenario.", "values": [1]}, "sweep"),     # an empty key
+], ids=["bad_point", "int_parent", "scenario_int_parent", "no_values",
+        "empty_param", "empty_key"])
+def test_bad_sweep_exits_two_and_writes_nothing(tmp_path, capsys, sweep,
+                                                field):
+    raw = dict(GOOD_CONFIG, sweep=sweep)
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "sweep"
     assert main(["run", cfg, "--out", str(out)]) == 2
-    assert "scenario.n" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}: ")
+    assert captured.out == ""
     assert not out.exists()
 
 
