@@ -11,29 +11,16 @@ while it runs (one per packet hop, about a hundred in flight at a time).
 backlog, and keeps only the events scheduled while it runs in the heap,
 so each packet hop pays for a shallow heap rather than one holding every
 future flow start.
+
+The engine counts only what it does itself, ``events_dispatched``; run
+totals are built from the ports and endpoints after the loop.
 """
 
 import heapq
-from dataclasses import dataclass
 
 
 class SchedulingInPast(Exception):
     """Raised when an event is scheduled before the engine's current time."""
-
-
-@dataclass
-class RunSummary:
-    """Run-wide counters.
-
-    ``packets_marked`` counts marks per switch-port hop, not per packet: a
-    packet marked at two ports counts twice.
-    """
-
-    events_dispatched: int = 0
-    packets_sent: int = 0
-    packets_delivered: int = 0
-    packets_dropped: int = 0
-    packets_marked: int = 0
 
 
 class Engine:
@@ -61,7 +48,7 @@ class Engine:
         self._seq = 0
         self.now = 0
         self.last_dispatch_ns = 0
-        self.stats = RunSummary()
+        self.events_dispatched = 0
 
     def schedule(self, fire_time_ns: int, fn, arg=None) -> list:
         """Queue `fn(now, arg)` at `fire_time_ns`; returns a cancellation handle."""
@@ -82,7 +69,7 @@ class Engine:
         handle[2] = None
         return True
 
-    def run_until(self, t_end_ns: int) -> RunSummary:
+    def run_until(self, t_end_ns: int) -> None:
         """Dispatch every event with fire_time <= t_end_ns."""
         heap = self._heap
         backlog = self._backlog
@@ -112,9 +99,7 @@ class Engine:
             self.now = t
             n += 1
             fn(t, arg)
-        stats = self.stats
-        stats.events_dispatched += n
+        self.events_dispatched += n
         self.last_dispatch_ns = self.now
         if t_end_ns > self.now:
             self.now = t_end_ns
-        return stats

@@ -1,13 +1,16 @@
 """Admission-time marking policies for switch output ports.
 
-Three policies are pluggable per port:
+Two policies are pluggable per port; a port with no policy (``None``, as
+on a host NIC or a tail-drop switch) never marks:
 
-* ``TailDrop``      -- never marks (drops happen upstream of any policy).
 * ``ThresholdEcn``  -- mark when the instantaneous queue exceeds a threshold.
 * ``SlopeEcn``      -- mark in proportion to the queue-growth slope, realized
                        divider-free with a byte accumulator; given a queue
                        threshold, it is the hybrid: slope marking below the
                        threshold, mark-all above.
+
+``RandomSlopeEcn`` is the reference slope marker the accumulator is checked
+against.
 
 The slope policy infers the instantaneous arrival rate from each packet's
 size P and the inter-arrival gap I: arrival rate P/I against drain rate R
@@ -63,15 +66,6 @@ def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns, rate_bps: int
     if pkt_bytes >= 2 * ri:
         return 1.0
     return (pkt_bytes - ri) / ri
-
-
-class TailDrop:
-    """No marking at all; overflow handling lives in the port."""
-
-    __slots__ = ()
-
-    def decide(self, queue_bytes, pkt_bytes, now_ns):
-        return False
 
 
 class ThresholdEcn:

@@ -147,7 +147,6 @@ class Port:
         if lim is not None and qb + size > lim:
             self.drops += 1
             self.bytes_dropped += size
-            self.engine.stats.packets_dropped += 1
             if self.trace is not None:
                 self.trace.record_drop(now, qb, pkt)
             return
@@ -157,7 +156,6 @@ class Port:
             pkt.ecn_marked = True
             marked = True
             self.marks += 1
-            self.engine.stats.packets_marked += 1
         qb += size
         self.queue_bytes = qb
         self.bytes_in += size

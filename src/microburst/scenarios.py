@@ -68,12 +68,6 @@ def validate_schedule(flows):
     return flows
 
 
-def _check_int(name, value, minimum=0):
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidParam(f"scenario.{name}: must be an integer >= "
-                           f"{minimum}, got {value!r}")
-
-
 def _check_hosts(name, hosts):
     for host in hosts:
         if host not in HOSTS:
@@ -92,8 +86,6 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                    rng=None, receiver=FANIN_RECEIVER, senders=None):
     """n concurrent flows to one receiver, optionally with a small uniform
     start jitter (real 'simultaneous' starts carry scheduler jitter)."""
-    _check_int("n", n, 1)
-    _check_int("jitter_ns", jitter_ns)
     senders = senders or FANIN_SENDERS
     _check_hosts("receiver", [receiver])
     _check_hosts("senders", senders)
@@ -110,8 +102,6 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
 def gen_async_fanin(n, window_ns=2_000_000, response_bytes=1_000_000,
                     start_ns=0, rng=None):
     """n flows starting uniformly at random inside a window."""
-    _check_int("n", n, 1)
-    _check_int("window_ns", window_ns)
     flows = []
     for i in range(n):
         offset = rng.randrange(window_ns) if window_ns else 0
@@ -124,8 +114,6 @@ def gen_one_background(fanin_count=8, response_bytes=1_000_000,
                        delay_ns=500_000_000, background_bytes=LONG_FLOW_BYTES,
                        jitter_ns=0, rng=None):
     """One long-lived flow first, then a fan-in burst at the same bottleneck."""
-    _check_int("jitter_ns", jitter_ns)
-    _check_int("fanin_count", fanin_count, 1)
     flows = [FlowSpec(0, "h9", "h11", background_bytes, 0, burst=False)]
     senders = [f"h{i}" for i in range(1, 9)]
     for i in range(fanin_count):
@@ -141,9 +129,6 @@ def gen_background_same_hop(background_count=3, fanin_count=12,
                             jitter_ns=0, rng=None):
     """Background flows already queueing at the fan-in port when the burst
     starts; fan-in senders exclude the background hosts."""
-    _check_int("jitter_ns", jitter_ns)
-    _check_int("fanin_count", fanin_count, 1)
-    _check_int("background_count", background_count, 1)
     bg_srcs = ["h1", "h4", "h7"]
     flows = []
     for i in range(background_count):
@@ -165,8 +150,6 @@ def gen_background_prev_hop(background_count=3, fanin_count=6,
     """Background flows congest their rack uplink; the fan-in burst then
     moves the congestion point downstream and the rack's built-up queue
     drains into it (the hidden buffer)."""
-    _check_int("jitter_ns", jitter_ns)
-    _check_int("fanin_count", fanin_count, 1)
     bg_srcs = ["h7", "h8", "h9"]
     flows = []
     for i in range(background_count):
@@ -187,10 +170,12 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
                total_bytes=1_024_000, start_ns=0):
     """Synchronized query responses: fixed per-slave size, or a fixed total
     split evenly (integer floor, remainder on the first flow)."""
-    _check_int("n", n, 1)
     if mode not in ("fixed_response", "fixed_total"):
         raise InvalidParam(f"scenario.mode: unknown incast mode {mode!r}")
     if mode == "fixed_total":
+        if total_bytes < n:   # every flow needs at least one byte
+            raise InvalidParam(f"scenario.total_bytes: must be >= n ({n}), "
+                               f"got {total_bytes!r}")
         base = total_bytes // n
         sizes = [base + total_bytes % n] + [base] * (n - 1)
     else:
@@ -207,7 +192,6 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
 def gen_long_flow_batches(batch=3, interval_ns=NS_PER_S, batches=1,
                           flow_bytes=LONG_FLOW_BYTES):
     """Batches of saturating flows to one receiver, one batch per interval."""
-    _check_int("batch", batch, 1)
     flows = []
     fid = 0
     for b in range(batches):
@@ -287,9 +271,6 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     if not 0 < query_fraction < 1:
         raise InvalidParam("scenario.query_fraction: must be in (0,1), "
                            f"got {query_fraction}")
-    if duration_ns <= 0:
-        raise InvalidParam("scenario.duration_ns: must be > 0")
-    _check_int("query_bytes", query_bytes, 1)
     _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
     responders = [h for h in HOSTS if h != master]
@@ -347,6 +328,13 @@ GENERATORS = {
 _NEEDS_RNG = {"sync_fanin", "async_fanin", "websearch", "one_background",
               "background_same_hop", "background_prev_hop"}
 
+# every integer scenario field and its minimum, whichever generator takes it
+_INTS = {"n": 1, "fanin_count": 1, "background_count": 1, "batch": 1,
+         "batches": 1, "response_bytes": 1, "background_bytes": 1,
+         "total_bytes": 1, "flow_bytes": 1, "query_bytes": 1,
+         "start_ns": 0, "delay_ns": 0, "jitter_ns": 0, "window_ns": 0,
+         "interval_ns": 0, "duration_ns": 1}
+
 
 def build_schedule(scenario: dict, rng, link_rate_bps):
     params = dict(scenario)
@@ -354,6 +342,12 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
     gen = GENERATORS.get(kind)
     if gen is None:
         raise InvalidParam(f"scenario.kind: unknown scenario {kind!r}")
+    for name, minimum in _INTS.items():
+        value = params.get(name, minimum)
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or value < minimum):
+            raise InvalidParam(f"scenario.{name}: must be an integer >= "
+                               f"{minimum}, got {value!r}")
     if kind in _NEEDS_RNG:
         params["rng"] = rng
     if kind == "websearch":

@@ -1,6 +1,6 @@
 """Assembles one run: preset links -> ports, schedule -> flows, then the event
-loop; audits the end state, collects traces, flow records, and query
-completions, and writes the CSV outputs."""
+loop; audits the end state, builds the run totals, flow records and query
+completions from the ports and endpoints, and writes the CSV outputs."""
 
 import os
 import random
@@ -8,21 +8,19 @@ from dataclasses import dataclass
 
 from .config import RunConfig, effective_yaml
 from .engine import Engine
-from .marking import TailDrop, ThresholdEcn, SlopeEcn
+from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA
 from .scenarios import build_schedule
 from .topology import HOSTS, LINKS, ROOT, path
 from .transport import Sender, Receiver, TransportParams, DCTCP
 
-_TAILDROP = TailDrop()
-
 
 def _make_policy(cfg: RunConfig):
-    """A fresh marking policy for one switch port."""
+    """A fresh marking policy for one switch port; None never marks."""
     kind = cfg.policy_kind()
     if kind == "taildrop":
-        return _TAILDROP
+        return None
     if kind == "threshold":
         return ThresholdEcn(cfg.ecn_threshold_bytes)
     if kind == "slope":
@@ -74,6 +72,21 @@ class Network:
 
 
 @dataclass
+class RunSummary:
+    """Run-wide counters, summed over the ports and endpoints after the run.
+
+    ``packets_marked`` counts marks per switch-port hop, not per packet: a
+    packet marked at two ports counts twice.
+    """
+
+    events_dispatched: int
+    packets_sent: int
+    packets_delivered: int
+    packets_dropped: int
+    packets_marked: int
+
+
+@dataclass
 class FlowRecord:
     flow_id: int
     src: str
@@ -91,7 +104,7 @@ class FlowRecord:
 @dataclass
 class RunResult:
     cfg: RunConfig
-    summary: object
+    summary: RunSummary
     end_ns: int
     flows: list
     queries: list                      # (QuerySpec, end_ns or None)
@@ -154,56 +167,51 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     algo = cfg.host_algorithm()
     ecn = cfg.ecn_capable()
 
-    pending_by_query = {q.query_id: set(q.flow_ids) for q in queries}
-    query_end = {q.query_id: None for q in queries}
-
-    def flow_done(sender, now):
-        spec = specs[sender.flow_id]
-        if spec.query_id is not None:
-            pending = pending_by_query[spec.query_id]
-            pending.discard(spec.flow_id)
-            if not pending:
-                query_end[spec.query_id] = now
-
-    specs = {}
     for spec in flows:
-        specs[spec.flow_id] = spec
         fwd = net.route(spec.src, spec.dst)
         back = net.route(spec.dst, spec.src)
         sender = Sender(spec.flow_id, algo, spec.size_bytes, fwd, engine,
                         params, ecn_capable=ecn, pacing=cfg.pacing,
-                        on_complete=flow_done, annotate=spec.burst)
-        receiver = Receiver(spec.flow_id, back, engine,
-                            dctcp_echo=(algo == DCTCP))
+                        annotate=spec.burst)
+        receiver = Receiver(spec.flow_id, back, dctcp_echo=(algo == DCTCP))
         net.senders[spec.flow_id] = sender
         net.receivers[spec.flow_id] = receiver
         engine.schedule(spec.start_ns, _start_flow, sender)
 
     if cfg.duration_ns:
-        t_end = cfg.duration_ns + cfg.drain_grace_ns
-        summary = engine.run_until(t_end)
+        engine.run_until(cfg.duration_ns + cfg.drain_grace_ns)
         end_ns = engine.now
     else:
-        summary = engine.run_until(1 << 62)   # drains the event set
+        engine.run_until(1 << 62)   # drains the event set
         end_ns = engine.last_dispatch_ns
     _audit(net, flows)
 
+    senders, receivers = net.senders, net.receivers
+    ports = net.ports.values()
+    summary = RunSummary(
+        events_dispatched=engine.events_dispatched,
+        packets_sent=sum(s.sent for s in senders.values()),
+        packets_delivered=sum(r.received for r in receivers.values()),
+        packets_dropped=sum(p.drops for p in ports),
+        packets_marked=sum(p.marks for p in ports))
     records = []
-    first_ece = None
     for spec in flows:
-        sender = net.senders[spec.flow_id]
-        receiver = net.receivers[spec.flow_id]
+        sender = senders[spec.flow_id]
         records.append(FlowRecord(
             flow_id=spec.flow_id, src=spec.src, dst=spec.dst,
             size_bytes=spec.size_bytes, start_ns=spec.start_ns,
             end_ns=sender.end_ns, retransmits=sender.retransmits,
             timeouts=sender.timeouts,
-            delivered_bytes=receiver.cum_ack,
+            delivered_bytes=receivers[spec.flow_id].cum_ack,
             first_ece_cut_ns=sender.first_ece_cut_ns,
             query_id=spec.query_id))
-        cut = sender.first_ece_cut_ns
-        if cut is not None and (first_ece is None or cut < first_ece):
-            first_ece = cut
+    first_ece = min((r.first_ece_cut_ns for r in records
+                     if r.first_ece_cut_ns is not None), default=None)
+    # a query ends when its last flow does, and not while any is unfinished
+    query_ends = []
+    for q in queries:
+        ends = [senders[fid].end_ns for fid in q.flow_ids]
+        query_ends.append((q, None if None in ends else max(ends)))
 
     # ports and endpoints reference each other, so the finished network is
     # freed only by the cycle collector; the result alone keeps the traces
@@ -217,8 +225,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                   for pid, p in net.ports.items()}
 
     return RunResult(cfg=cfg, summary=summary, end_ns=end_ns,
-                     flows=records,
-                     queries=[(q, query_end[q.query_id]) for q in queries],
+                     flows=records, queries=query_ends,
                      traces=traces, ports=port_stats,
                      first_ece_cut_ns=first_ece)
 

@@ -45,11 +45,11 @@ class Sender:
                  "srtt", "rttvar", "rto", "rto_deadline", "rto_timer",
                  "rtt_probe", "pace_next", "pace_timer",
                  "round", "round_end",
-                 "start_ns", "end_ns", "done", "retransmits", "timeouts",
-                 "first_ece_cut_ns", "on_complete")
+                 "start_ns", "end_ns", "done", "sent", "retransmits",
+                 "timeouts", "first_ece_cut_ns")
 
     def __init__(self, flow_id, algo, total_bytes, route, engine, params,
-                 ecn_capable, pacing=False, on_complete=None, annotate=True):
+                 ecn_capable, pacing=False, annotate=True):
         self.flow_id = flow_id
         self.algo = algo
         self.engine = engine
@@ -92,10 +92,10 @@ class Sender:
         self.start_ns = None
         self.end_ns = None
         self.done = False
+        self.sent = 0           # data packets, retransmissions included
         self.retransmits = 0
         self.timeouts = 0
         self.first_ece_cut_ns = None
-        self.on_complete = on_complete
 
     # -- state view ---------------------------------------------------------
 
@@ -125,7 +125,7 @@ class Sender:
             pkt.send_round = self.round
         else:
             pkt.send_round = -1
-        self.engine.stats.packets_sent += 1
+        self.sent += 1
         if not retransmit and self.rtt_probe is None:
             self.rtt_probe = (seq_lo + size, now)
         if self.rto_timer is None and not self.done:
@@ -328,8 +328,6 @@ class Sender:
         if self.pace_timer is not None:
             self.engine.cancel(self.pace_timer)
             self.pace_timer = None
-        if self.on_complete is not None:
-            self.on_complete(self, now)
 
 
 class Receiver:
@@ -340,20 +338,20 @@ class Receiver:
     clears when the sender signals its window reduction (CWR).
     """
 
-    __slots__ = ("flow_id", "route", "engine", "dctcp_echo",
-                 "cum_ack", "segments", "sticky_ece")
+    __slots__ = ("flow_id", "route", "dctcp_echo", "cum_ack", "segments",
+                 "sticky_ece", "received")
 
-    def __init__(self, flow_id, route, engine, dctcp_echo):
+    def __init__(self, flow_id, route, dctcp_echo):
         self.flow_id = flow_id
         self.route = route
-        self.engine = engine
         self.dctcp_echo = dctcp_echo
         self.cum_ack = 0
         self.segments = {}
         self.sticky_ece = False
+        self.received = 0       # data packets, duplicates included
 
     def on_data(self, pkt, now):
-        self.engine.stats.packets_delivered += 1
+        self.received += 1
         if pkt.seq_lo <= self.cum_ack:
             if pkt.seq_hi > self.cum_ack:
                 cum = pkt.seq_hi

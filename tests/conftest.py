@@ -30,8 +30,7 @@ class OneLink:
         self.sender = Sender(0, algo, total_bytes, (self.fwd,), self.engine,
                              self.params, ecn_capable=ecn_capable,
                              pacing=pacing)
-        self.receiver = Receiver(0, (self.rev,), self.engine,
-                                 dctcp_echo=(algo == "dctcp"))
+        self.receiver = Receiver(0, (self.rev,), dctcp_echo=(algo == "dctcp"))
 
     def _deliver(self, now, pkt):
         if pkt.kind == DATA:
@@ -40,7 +39,7 @@ class OneLink:
             self.sender.on_ack(pkt, now)
 
     def run(self, t_end_ns):
-        return self.engine.run_until(t_end_ns)
+        self.engine.run_until(t_end_ns)
 
 
 @pytest.fixture

@@ -124,7 +124,8 @@ WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
 # base scenario of each kind a "scenario:<kind>" case names; other kinds
 # need no parameter beyond the one under test
 SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
-             "async_fanin": {"kind": "async_fanin", "n": 4}}
+             "async_fanin": {"kind": "async_fanin", "n": 4},
+             "incast": {"kind": "incast", "n": 4, "mode": "fixed_total"}}
 BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
             "one_column.cdf": "1000\n", "decreasing.cdf": "1000 0.5\n900 1.0\n",
             "short.cdf": "1000 0.5\n", "zero_size.cdf": "0 1.0\n",
@@ -163,6 +164,14 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario:async_fanin", "window_ns", 1.5, "scenario.window_ns"),
     ("scenario:async_fanin", "n", 0, "scenario.n"),
     ("scenario:sync_fanin", "receiver", "h99", "scenario.receiver"),
+    ("scenario:background_prev_hop", "background_count", -1,
+     "scenario.background_count"),
+    ("scenario:long_flow_batches", "batches", 0, "scenario.batches"),
+    ("scenario:async_fanin", "response_bytes", 1.5, "scenario.response_bytes"),
+    ("scenario:sync_fanin", "response_bytes", 0, "scenario.response_bytes"),
+    ("scenario:one_background", "delay_ns", -1, "scenario.delay_ns"),
+    ("scenario:incast", "start_ns", -1, "scenario.start_ns"),
+    ("scenario:incast", "total_bytes", 3, "scenario.total_bytes"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from microburst.marking import (InvalidRate, NoPreviousArrival, RandomSlopeEcn,
-                                SlopeEcn, TailDrop, ThresholdEcn,
+                                SlopeEcn, ThresholdEcn,
                                 mark_probability_from_arrival)
 from microburst.units import GBPS, rate_time_to_bytes
 
@@ -148,11 +148,6 @@ def test_random_engine_matches_oracle():
 
 
 # -- policy composition --------------------------------------------------------
-
-def test_taildrop_never_marks():
-    assert run_policy(TailDrop(), constant_stream(3.0, 100)) == 0
-    assert TailDrop().decide(500_000, MSS, 0) is False
-
 
 def test_threshold_marks_iff_queue_above():
     policy = ThresholdEcn(32_000)

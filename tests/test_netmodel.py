@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from microburst.analysis import QueueTrace
 from microburst.engine import Engine
-from microburst.marking import TailDrop, ThresholdEcn
+from microburst.marking import ThresholdEcn
 from microburst.netmodel import (ENQUEUE, Port, PortTrace, stamp_telemetry)
 from microburst.packets import ACK, DATA, Packet
 from microburst.topology import HOSTS, PORT_IDS, ROOT, TORS, path, tor_of
@@ -25,7 +25,7 @@ def data_pkt(size=1500, flow=0, ecn=True, seq=0):
 def test_tail_drop_on_overflow():
     engine = Engine()
     sink = []
-    port = make_port(engine, sink, buffer_limit=512_000, policy=TailDrop())
+    port = make_port(engine, sink, buffer_limit=512_000, policy=None)
     port.queue_bytes = 511_000   # pre-filled bookkeeping
     port.enqueue(data_pkt(1500), 0)
     assert port.queue_bytes == 511_000
@@ -35,7 +35,7 @@ def test_tail_drop_on_overflow():
 def test_taildrop_accepts_without_marking():
     engine = Engine()
     sink = []
-    port = make_port(engine, sink, buffer_limit=512_000, policy=TailDrop())
+    port = make_port(engine, sink, buffer_limit=512_000, policy=None)
     pkt = data_pkt()
     port.enqueue(pkt, 0)
     assert (port.queue_bytes, port.drops, port.marks) == (1500, 0, 0)
@@ -113,7 +113,7 @@ def test_port_idle_after_drain():
 def test_work_conservation_and_byte_conservation():
     engine = Engine()
     sink = []
-    port = make_port(engine, sink, buffer_limit=3_000, policy=TailDrop())
+    port = make_port(engine, sink, buffer_limit=3_000, policy=None)
     for i in range(5):
         port.enqueue(data_pkt(seq=i * 1500), 0)
     assert len(port.queue) == 2
@@ -132,7 +132,7 @@ def test_stamp_exact_and_fidelity():
 def test_trace_records_pre_admission_queue():
     engine = Engine()
     sink = []
-    port = make_port(engine, sink, buffer_limit=512_000, policy=TailDrop())
+    port = make_port(engine, sink, buffer_limit=512_000, policy=None)
     port.trace = PortTrace("p")
     port.enqueue(data_pkt(seq=0), 0)
     port.enqueue(data_pkt(seq=1500), 0)
@@ -158,7 +158,7 @@ def test_trace_stamps_data_but_not_acks():
 def test_acks_share_queue_and_are_droppable():
     engine = Engine()
     sink = []
-    port = make_port(engine, sink, buffer_limit=2_000, policy=TailDrop())
+    port = make_port(engine, sink, buffer_limit=2_000, policy=None)
     port.enqueue(data_pkt(), 0)
     port.enqueue(Packet(0, ACK, 64, ()), 0)
     assert (port.queue_bytes, port.drops) == (1564, 0)

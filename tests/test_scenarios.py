@@ -37,8 +37,8 @@ def test_sync_fanin_degenerate_single():
 
 
 def test_sync_fanin_rejects_zero():
-    with pytest.raises(InvalidParam):
-        gen_sync_fanin(0)
+    with pytest.raises(InvalidParam, match=r"^scenario\.n: "):
+        build_schedule({"kind": "sync_fanin", "n": 0}, rng(), GBPS)
 
 
 def test_sync_fanin_jitter_within_window():

@@ -11,7 +11,7 @@ from microburst.analysis import QueueTrace
 from microburst.config import RunConfig
 from microburst.engine import Engine
 from microburst.sim import AuditError, run_simulation, write_outputs
-from microburst.transport import Receiver
+from microburst.transport import Receiver, Sender
 
 MSS = 1500
 
@@ -86,9 +86,8 @@ def test_audit_names_flow_delivered_past_its_size(monkeypatch):
         receivers.append(self)
 
     def overcounting_run_until(self, t_end_ns):
-        summary = run_until(self, t_end_ns)
+        run_until(self, t_end_ns)
         receivers[2].cum_ack += 1_000_000
-        return summary
 
     monkeypatch.setattr(Receiver, "__init__", recording_init)
     monkeypatch.setattr(Engine, "run_until", overcounting_run_until)
@@ -223,3 +222,40 @@ def test_websearch_smoke_run():
     done = [q for _, _, _, q in res.query_completions() if q is not None]
     assert len(res.queries) > 10
     assert len(done) >= 0.9 * len(res.queries)
+
+
+def test_query_ends_match_completion_order_when_cut_at_horizon(monkeypatch):
+    # a 20 ms run over a 40 ms schedule.  Oracle: replay the flow completions
+    # in dispatch order; a query ends at its last flow's completion and is
+    # unfinished while any of its flows is
+    completions = []
+    complete = Sender._complete
+
+    def recording_complete(self, now):
+        completions.append((self.flow_id, now))
+        complete(self, now)
+
+    monkeypatch.setattr(Sender, "_complete", recording_complete)
+    cfg = RunConfig(seed=3, protocol="TCP", duration_ns=20_000_000,
+                    scenario={"kind": "websearch", "load": 0.6,
+                              "duration_ns": 40_000_000},
+                    buffer_bytes=64_000, telemetry_mode="off")
+    res = run_simulation(cfg)
+    pending = {q.query_id: set(q.flow_ids) for q, _ in res.queries}
+    ends = dict.fromkeys(pending)
+    for flow_id, now in completions:
+        for qid, flows in pending.items():
+            if flow_id in flows:
+                flows.discard(flow_id)
+                if not flows:
+                    ends[qid] = now
+    expected = [(q.query_id, q.issue_ns, ends[q.query_id],
+                 None if ends[q.query_id] is None
+                 else ends[q.query_id] - q.issue_ns) for q, _ in res.queries]
+    assert res.query_completions() == expected
+    # the case holds finished queries, queries cut with part of their flows
+    # done, and queries with none done
+    kinds = {"finished" if ends[q.query_id] is not None
+             else "cut" if len(pending[q.query_id]) < len(q.flow_ids)
+             else "none done" for q, _ in res.queries}
+    assert kinds == {"finished", "cut", "none done"}

@@ -1,5 +1,9 @@
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from microburst.netmodel import Port
 from microburst.packets import ACK, Packet
-from microburst.transport import TransportParams
+from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, TransportParams
+from microburst.units import GBPS
 
 MSS = 1500
 
@@ -24,7 +28,7 @@ def test_initial_window_is_three_segments(one_link):
     net = one_link(total_bytes=1_000_000)
     net.sender.start(0)
     assert net.sender.next_seq == 3 * MSS
-    assert net.engine.stats.packets_sent == 3
+    assert net.sender.sent == 3
     assert all(p.first_window for p in net.fwd.queue)
 
 
@@ -41,10 +45,10 @@ def test_slow_start_two_packets_per_ack(one_link):
     net = one_link(total_bytes=1_000_000)
     net.sender.start(0)
     assert net.sender.cwnd == 3 * MSS
-    sent_before = net.engine.stats.packets_sent
+    sent_before = net.sender.sent
     net.sender.on_ack(ack(0, MSS), 100)
     assert net.sender.cwnd == 4 * MSS
-    assert net.engine.stats.packets_sent - sent_before == 2
+    assert net.sender.sent - sent_before == 2
 
 
 def test_congestion_avoidance_one_mss_per_rtt(one_link):
@@ -149,12 +153,12 @@ def test_three_dupacks_trigger_fast_retransmit(one_link):
     s.start(0)
     s.cwnd = 10 * MSS
     s.next_seq = 10 * MSS
-    sent = net.engine.stats.packets_sent
+    sent = net.sender.sent
     for _ in range(3):
         s.on_ack(ack(0, 0), 100)
     assert s.in_recovery
     assert s.retransmits == 1
-    assert net.engine.stats.packets_sent == sent + 1
+    assert net.sender.sent == sent + 1
     assert s.ssthresh == 5 * MSS
 
 
@@ -262,3 +266,55 @@ def test_unpaced_initial_window_is_back_to_back(one_link):
     net = one_link(total_bytes=1_000_000)
     net.sender.start(0)
     assert len(net.fwd.queue) == 3   # all queued at t=0
+
+
+# -- adversarial loss ----------------------------------------------------------
+
+class LossyPort(Port):
+    """A port that drops its arrivals whose 1-based index is in ``drop_at``."""
+
+    __slots__ = ("drop_at", "arrivals", "dropped")
+
+    def __init__(self, engine, deliver_fn, drop_at):
+        super().__init__("lossy", GBPS, None, None, engine,
+                         deliver_fn=deliver_fn)
+        self.drop_at = drop_at
+        self.arrivals = 0
+        self.dropped = 0
+
+    def enqueue(self, pkt, now):
+        self.arrivals += 1
+        if self.arrivals in self.drop_at:
+            self.dropped += 1
+        else:
+            super().enqueue(pkt, now)
+
+
+_LOSSES = st.sets(st.integers(1, 120), max_size=25)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(algo=st.sampled_from([NEWRENO, DCTCP]),
+       segments=st.integers(1, 60), data_drops=_LOSSES, ack_drops=_LOSSES)
+def test_flow_survives_adversarial_drops(one_link, algo, segments,
+                                         data_drops, ack_drops):
+    net = one_link(algo=algo, total_bytes=segments * MSS)
+    s, r = net.sender, net.receiver
+    seen = []    # (cum_ack, highest_acked, rto) before and after each delivery
+
+    def deliver(now, pkt):
+        seen.append((r.cum_ack, s.highest_acked, s.rto))
+        net._deliver(now, pkt)
+        seen.append((r.cum_ack, s.highest_acked, s.rto))
+
+    fwd = LossyPort(net.engine, deliver, data_drops)
+    rev = LossyPort(net.engine, deliver, ack_drops)
+    s.route, r.route = (fwd,), (rev,)
+    s.start(0)
+    net.run(1 << 62)
+    assert s.done and r.cum_ack == s.total
+    for (c0, h0, _), (c1, h1, _) in zip(seen, seen[1:]):
+        assert c1 >= c0 and h1 >= h0
+    assert max(rto for _, _, rto in seen) <= RTO_MAX_NS
+    assert s.sent == r.received + fwd.dropped
