@@ -1,5 +1,6 @@
 """Command-line front end: run a configured simulation (or a sweep) and
-write its CSV outputs, or run one of the named acceptance checks.
+write its CSV outputs plus a ``perf.json`` of wall time and rates, or run
+one of the named acceptance checks.
 
     microburst run config.yaml --out results/
     microburst check law1
@@ -7,9 +8,12 @@ write its CSV outputs, or run one of the named acceptance checks.
 """
 
 import argparse
+import json
 import os
 import random
+import resource
 import sys
+import time
 
 from .checks import CHECKS, run_check
 from .config import ConfigError, config_from_dict, expand, read_yaml
@@ -38,15 +42,34 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        for label, result in run_plan(plan, lambda result: result):
+        started = time.perf_counter()
+        for label, (result, ended) in run_plan(
+                plan, lambda result: (result, time.perf_counter())):
             out_dir = os.path.join(args.out, *label)
             write_outputs(result, out_dir)
+            write_perf(result, ended - started, out_dir)
             print(f"wrote {out_dir}")
             del result     # free this run before the next one is built
+            started = time.perf_counter()
     except Exception as exc:   # simulation failure is an internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
+
+
+def write_perf(result, wall_s, out_dir):
+    """``perf.json``: the simulation's wall time and rates, and the peak
+    resident memory of this process so far.  None of it is deterministic,
+    so it stays out of the five output files."""
+    s = result.summary
+    perf = {"wall_s": wall_s,
+            "events_per_s": s.events_dispatched / wall_s,
+            "pkts_per_s": s.packets_delivered / wall_s,
+            "peak_rss_mb":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    with open(os.path.join(out_dir, "perf.json"), "w") as fh:
+        json.dump(perf, fh, indent=1)
+        fh.write("\n")
 
 
 def _check_target(target, seed):

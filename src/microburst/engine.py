@@ -69,6 +69,11 @@ class Engine:
         handle[2] = None
         return True
 
+    def pending(self) -> list:
+        """``(fn, arg)`` of every event still due, in no particular order."""
+        return [(entry[2], entry[3]) for entry in self._heap + self._backlog
+                if entry[2] is not None]
+
     def run_until(self, t_end_ns: int) -> None:
         """Dispatch every event with fire_time <= t_end_ns."""
         heap = self._heap

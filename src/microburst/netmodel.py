@@ -117,7 +117,8 @@ class Port:
     __slots__ = ("port_id", "rate_bps", "buffer_limit", "policy", "engine",
                  "queue", "queue_bytes", "ser_ns", "forward_ns", "deliver_fn",
                  "trace", "bytes_in", "bytes_out", "bytes_dropped",
-                 "drops", "marks", "max_queue_bytes", "_tx_done_fn")
+                 "drops", "data_drops", "marks", "max_queue_bytes",
+                 "_tx_done_fn")
 
     def __init__(self, port_id, rate_bps, buffer_limit, policy, engine,
                  forward_ns=0, deliver_fn=None):
@@ -136,6 +137,7 @@ class Port:
         self.bytes_out = 0
         self.bytes_dropped = 0
         self.drops = 0
+        self.data_drops = 0     # of drops, the data packets
         self.marks = 0
         self.max_queue_bytes = 0
         self._tx_done_fn = self._tx_done   # one bound method, not one per hop
@@ -146,6 +148,8 @@ class Port:
         lim = self.buffer_limit
         if lim is not None and qb + size > lim:
             self.drops += 1
+            if pkt.kind == DATA:
+                self.data_drops += 1
             self.bytes_dropped += size
             if self.trace is not None:
                 self.trace.record_drop(now, qb, pkt)

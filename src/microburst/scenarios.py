@@ -27,7 +27,7 @@ BACKGROUND_SINKS = ["h11", "h12"]
 LONG_FLOW_BYTES = 1_000_000_000   # finite stand-in for "unbounded"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowSpec:
     flow_id: int
     src: str
@@ -39,7 +39,7 @@ class FlowSpec:
                              # only burst flows carry phase annotations
 
 
-@dataclass
+@dataclass(slots=True)
 class QuerySpec:
     query_id: int
     issue_ns: int
@@ -86,7 +86,11 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                    rng=None, receiver=FANIN_RECEIVER, senders=None):
     """n concurrent flows to one receiver, optionally with a small uniform
     start jitter (real 'simultaneous' starts carry scheduler jitter)."""
-    senders = senders or FANIN_SENDERS
+    if senders is None:
+        senders = FANIN_SENDERS
+    elif not isinstance(senders, list) or not senders:
+        raise InvalidParam("scenario.senders: must be a non-empty list of "
+                           f"preset hosts h1..h12, got {senders!r}")
     _check_hosts("receiver", [receiver])
     _check_hosts("senders", senders)
     flows = []

@@ -1,6 +1,13 @@
-"""Assembles one run: preset links -> ports, schedule -> flows, then the event
-loop; audits the end state, builds the run totals, flow records and query
-completions from the ports and endpoints, and writes the CSV outputs."""
+"""Assembles one run: preset links -> ports, schedule -> flow starts, then
+the event loop; audits the end state, builds the run totals, flow records
+and query completions from the ports and endpoints, and writes the CSV
+outputs.
+
+A flow's endpoints are built when it starts, and its sender is retired as
+soon as the flow completes: per-flow state scales with the flows in flight,
+not with the length of the schedule.  A finished flow leaves one compact
+outcome tuple behind; its receiver stays, since a retransmitted duplicate
+can still reach it and be acknowledged."""
 
 import os
 import random
@@ -10,7 +17,7 @@ from .config import RunConfig, effective_yaml
 from .engine import Engine
 from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
-from .packets import DATA
+from .packets import DATA, Packet
 from .scenarios import build_schedule
 from .topology import HOSTS, LINKS, ROOT, path
 from .transport import Sender, Receiver, TransportParams, DCTCP
@@ -29,9 +36,24 @@ def _make_policy(cfg: RunConfig):
 
 
 class Network:
-    """Ports for every directed link of the preset plus per-pair port routes."""
+    """Ports for every directed link of the preset, per-pair port routes,
+    and the endpoints of the flows started so far.
+
+    ``senders`` holds only the flows still running; ``finished`` maps each
+    completed flow to its ``_outcome``."""
 
     def __init__(self, engine, cfg: RunConfig):
+        self.engine = engine
+        self.params = TransportParams(mss=cfg.mss_bytes,
+                                      iw_packets=cfg.initial_window_packets,
+                                      max_cwnd_packets=cfg.max_cwnd_packets,
+                                      rto_min_ns=cfg.rto_min_ns,
+                                      dctcp_gain=cfg.dctcp_gain,
+                                      dctcp_alpha0=cfg.dctcp_alpha0,
+                                      initial_rtt_ns=cfg.initial_rtt_ns)
+        self.algo = cfg.host_algorithm()
+        self.ecn = cfg.ecn_capable()
+        self.pacing = cfg.pacing
         self.ports = {}
         self._routes = {}
         for link in LINKS:
@@ -52,6 +74,7 @@ class Network:
                                            buffer_limit, policy, engine,
                                            forward_ns, deliver_fn=self._deliver)
         self.senders = {}
+        self.finished = {}
         self.receivers = {}
 
     def route(self, src, dst):
@@ -67,8 +90,26 @@ class Network:
     def _deliver(self, now, pkt):
         if pkt.kind == DATA:
             self.receivers[pkt.flow_id].on_data(pkt, now)
-        else:
-            self.senders[pkt.flow_id].on_ack(pkt, now)
+            return
+        sender = self.senders.get(pkt.flow_id)
+        if sender is None:
+            return      # a late ACK of a finished flow
+        sender.on_ack(pkt, now)
+        if sender.done:
+            # _complete cancelled its timers, so only a stray retransmission
+            # timer an earlier timeout left pending can still hold it
+            del self.senders[pkt.flow_id]
+            self.finished[pkt.flow_id] = _outcome(sender)
+
+
+def _outcome(sender):
+    """What a flow's record and the run totals need of its sender."""
+    return (sender.end_ns, sender.retransmits, sender.timeouts,
+            sender.first_ece_cut_ns, sender.sent)
+
+
+# the outcome of a flow that never started
+_NOT_STARTED = (None, 0, 0, None, 0)
 
 
 @dataclass
@@ -86,7 +127,7 @@ class RunSummary:
     packets_marked: int
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     flow_id: int
     src: str
@@ -120,7 +161,16 @@ class RunResult:
         return out
 
 
-def _start_flow(now, sender):
+def _start_flow(now, arg):
+    """Build a flow's endpoints at its start and send its first window."""
+    net, spec = arg
+    fid, algo = spec.flow_id, net.algo
+    sender = Sender(fid, algo, spec.size_bytes, net.route(spec.src, spec.dst),
+                    net.engine, net.params, ecn_capable=net.ecn,
+                    pacing=net.pacing, annotate=spec.burst)
+    net.receivers[fid] = Receiver(fid, net.route(spec.dst, spec.src),
+                                  dctcp_echo=(algo == DCTCP))
+    net.senders[fid] = sender
     sender.start(now)
 
 
@@ -128,19 +178,41 @@ class AuditError(Exception):
     """An end-of-run invariant does not hold; the message names where."""
 
 
-def _audit(net, flows):
-    """Byte conservation on every port, and no flow delivered past its size."""
+def _data_in_flight(net, engine):
+    """(queued, held): data packets in the port queues, and those held by a
+    pending delayed-forward ``(port, packet)`` or delayed-deliver event."""
+    queued = sum(pkt.kind == DATA for port in net.ports.values()
+                 for pkt in port.queue)
+    held = 0
+    for _, arg in engine.pending():
+        if type(arg) is tuple:
+            arg = arg[1]
+        if type(arg) is Packet and arg.kind == DATA:
+            held += 1
+    return queued, held
+
+
+def _audit(net, engine, flows, summary):
+    """Byte conservation on every port, no flow delivered past its size, and
+    every data packet sent received, dropped or still in flight."""
     for port_id, port in net.ports.items():
         if not port.conservation_ok():
             raise AuditError(
                 f"port {port_id}: bytes_in {port.bytes_in} != bytes_out "
                 f"{port.bytes_out} + queue_bytes {port.queue_bytes}")
     for spec in flows:
-        delivered = net.receivers[spec.flow_id].cum_ack
-        if delivered > spec.size_bytes:
+        receiver = net.receivers.get(spec.flow_id)
+        if receiver is not None and receiver.cum_ack > spec.size_bytes:
             raise AuditError(
-                f"flow {spec.flow_id}: delivered_bytes {delivered} > "
+                f"flow {spec.flow_id}: delivered_bytes {receiver.cum_ack} > "
                 f"size_bytes {spec.size_bytes}")
+    sent, received = summary.packets_sent, summary.packets_delivered
+    dropped = sum(port.data_drops for port in net.ports.values())
+    queued, held = _data_in_flight(net, engine)
+    if sent != received + dropped + queued + held:
+        raise AuditError(
+            f"data packets: sent {sent} != received {received} + dropped "
+            f"{dropped} + queued {queued} + held in delayed events {held}")
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:
@@ -157,26 +229,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             traces[port_id] = net.ports[port_id].trace = PortTrace(
                 port_id, fidelity=(cfg.telemetry_mode == "fidelity"))
 
-    params = TransportParams(mss=cfg.mss_bytes,
-                             iw_packets=cfg.initial_window_packets,
-                             max_cwnd_packets=cfg.max_cwnd_packets,
-                             rto_min_ns=cfg.rto_min_ns,
-                             dctcp_gain=cfg.dctcp_gain,
-                             dctcp_alpha0=cfg.dctcp_alpha0,
-                             initial_rtt_ns=cfg.initial_rtt_ns)
-    algo = cfg.host_algorithm()
-    ecn = cfg.ecn_capable()
-
     for spec in flows:
-        fwd = net.route(spec.src, spec.dst)
-        back = net.route(spec.dst, spec.src)
-        sender = Sender(spec.flow_id, algo, spec.size_bytes, fwd, engine,
-                        params, ecn_capable=ecn, pacing=cfg.pacing,
-                        annotate=spec.burst)
-        receiver = Receiver(spec.flow_id, back, dctcp_echo=(algo == DCTCP))
-        net.senders[spec.flow_id] = sender
-        net.receivers[spec.flow_id] = receiver
-        engine.schedule(spec.start_ns, _start_flow, sender)
+        engine.schedule(spec.start_ns, _start_flow, (net, spec))
 
     if cfg.duration_ns:
         engine.run_until(cfg.duration_ns + cfg.drain_grace_ns)
@@ -184,33 +238,38 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     else:
         engine.run_until(1 << 62)   # drains the event set
         end_ns = engine.last_dispatch_ns
-    _audit(net, flows)
 
-    senders, receivers = net.senders, net.receivers
+    outcomes = net.finished
+    for fid, sender in net.senders.items():
+        outcomes[fid] = _outcome(sender)
+    receivers = net.receivers
     ports = net.ports.values()
     summary = RunSummary(
         events_dispatched=engine.events_dispatched,
-        packets_sent=sum(s.sent for s in senders.values()),
+        packets_sent=sum(o[4] for o in outcomes.values()),
         packets_delivered=sum(r.received for r in receivers.values()),
         packets_dropped=sum(p.drops for p in ports),
         packets_marked=sum(p.marks for p in ports))
+    _audit(net, engine, flows, summary)
+
     records = []
     for spec in flows:
-        sender = senders[spec.flow_id]
+        fid = spec.flow_id
+        end, retransmits, timeouts, first_ece_cut, _ = outcomes.get(
+            fid, _NOT_STARTED)
+        receiver = receivers.get(fid)
         records.append(FlowRecord(
-            flow_id=spec.flow_id, src=spec.src, dst=spec.dst,
+            flow_id=fid, src=spec.src, dst=spec.dst,
             size_bytes=spec.size_bytes, start_ns=spec.start_ns,
-            end_ns=sender.end_ns, retransmits=sender.retransmits,
-            timeouts=sender.timeouts,
-            delivered_bytes=receivers[spec.flow_id].cum_ack,
-            first_ece_cut_ns=sender.first_ece_cut_ns,
-            query_id=spec.query_id))
+            end_ns=end, retransmits=retransmits, timeouts=timeouts,
+            delivered_bytes=0 if receiver is None else receiver.cum_ack,
+            first_ece_cut_ns=first_ece_cut, query_id=spec.query_id))
     first_ece = min((r.first_ece_cut_ns for r in records
                      if r.first_ece_cut_ns is not None), default=None)
     # a query ends when its last flow does, and not while any is unfinished
     query_ends = []
     for q in queries:
-        ends = [senders[fid].end_ns for fid in q.flow_ids]
+        ends = [outcomes.get(fid, _NOT_STARTED)[0] for fid in q.flow_ids]
         query_ends.append((q, None if None in ends else max(ends)))
 
     # ports and endpoints reference each other, so the finished network is
@@ -218,7 +277,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     for port_id in traces:
         net.ports[port_id].trace = None
     port_stats = {pid: {"max_queue_bytes": p.max_queue_bytes,
-                        "drops": p.drops, "marks": p.marks,
+                        "drops": p.drops, "data_drops": p.data_drops,
+                        "marks": p.marks,
                         "bytes_in": p.bytes_in, "bytes_out": p.bytes_out,
                         "bytes_dropped": p.bytes_dropped,
                         "queue_bytes": p.queue_bytes}

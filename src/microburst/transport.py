@@ -330,6 +330,10 @@ class Sender:
             self.pace_timer = None
 
 
+# the out-of-order map of every receiver that has seen none: never written
+_NO_SEGMENTS = {}
+
+
 class Receiver:
     """Receiving endpoint: immediate cumulative ACK per data packet.
 
@@ -346,7 +350,7 @@ class Receiver:
         self.route = route
         self.dctcp_echo = dctcp_echo
         self.cum_ack = 0
-        self.segments = {}
+        self.segments = _NO_SEGMENTS   # seq_lo -> seq_hi held above cum_ack
         self.sticky_ece = False
         self.received = 0       # data packets, duplicates included
 
@@ -360,9 +364,11 @@ class Receiver:
                     cum = segments.pop(cum)
                 self.cum_ack = cum
         else:
-            prev = self.segments.get(pkt.seq_lo, 0)
-            if pkt.seq_hi > prev:
-                self.segments[pkt.seq_lo] = pkt.seq_hi
+            segments = self.segments
+            if segments is _NO_SEGMENTS:
+                segments = self.segments = {}
+            if pkt.seq_hi > segments.get(pkt.seq_lo, 0):
+                segments[pkt.seq_lo] = pkt.seq_hi
 
         if self.dctcp_echo:
             ece = pkt.ecn_marked

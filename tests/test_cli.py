@@ -1,4 +1,5 @@
 import glob
+import json
 import os
 import random
 
@@ -6,8 +7,9 @@ import pytest
 import yaml
 
 from microburst.cli import main
-from microburst.config import expand, read_yaml
+from microburst.config import config_from_dict, expand, read_yaml
 from microburst.scenarios import build_schedule
+from microburst.sim import run_simulation, write_outputs
 
 GOOD_CONFIG = {
     "seed": 5,
@@ -32,6 +34,22 @@ def test_run_writes_four_output_files(tmp_path):
         assert (out / name).exists(), name
     header = (out / "trace.csv").read_text().splitlines()[0]
     assert header == "time_ns,port_id,queue_bytes,flow_id,event"
+
+
+def test_run_writes_perf_json_beside_unchanged_outputs(tmp_path):
+    # perf.json is the one non-deterministic file; the five outputs keep
+    # the bytes write_outputs alone gives
+    cfg = write_config(tmp_path, GOOD_CONFIG)
+    out, plain = tmp_path / "out", tmp_path / "plain"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    write_outputs(run_simulation(config_from_dict(GOOD_CONFIG)), str(plain))
+    assert sorted(os.listdir(out)) == sorted(os.listdir(plain) + ["perf.json"])
+    for name in os.listdir(plain):
+        assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+    perf = json.loads((out / "perf.json").read_text())
+    assert sorted(perf) == ["events_per_s", "peak_rss_mb", "pkts_per_s",
+                            "wall_s"]
+    assert all(value > 0 for value in perf.values())
 
 
 def test_run_trace_rows_are_integers(tmp_path):
@@ -172,6 +190,8 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario:one_background", "delay_ns", -1, "scenario.delay_ns"),
     ("scenario:incast", "start_ns", -1, "scenario.start_ns"),
     ("scenario:incast", "total_bytes", 3, "scenario.total_bytes"),
+    ("scenario:sync_fanin", "senders", [], "scenario.senders"),
+    ("scenario:sync_fanin", "senders", "h1", "scenario.senders"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):

@@ -41,6 +41,25 @@ def test_sync_fanin_rejects_zero():
         build_schedule({"kind": "sync_fanin", "n": 0}, rng(), GBPS)
 
 
+@pytest.mark.parametrize("senders", [[], "h1", {"h1": 1}],
+                         ids=["empty", "string", "mapping"])
+def test_sync_fanin_senders_must_be_a_non_empty_host_list(senders):
+    with pytest.raises(InvalidParam, match=r"^scenario\.senders: must be a "
+                       r"non-empty list of preset hosts"):
+        build_schedule({"kind": "sync_fanin", "n": 2, "senders": senders},
+                       rng(), GBPS)
+
+
+def test_sync_fanin_senders_default_only_when_missing_or_null():
+    for scenario in ({}, {"senders": None}):
+        flows, _ = build_schedule(dict(scenario, kind="sync_fanin", n=9),
+                                  rng(), GBPS)
+        assert [f.src for f in flows] == [f"h{i}" for i in range(1, 10)]
+    flows, _ = build_schedule({"kind": "sync_fanin", "n": 2,
+                               "senders": ["h4"]}, rng(), GBPS)
+    assert [f.src for f in flows] == ["h4", "h4"]
+
+
 def test_sync_fanin_jitter_within_window():
     flows, _ = gen_sync_fanin(18, jitter_ns=20_000, rng=rng())
     assert all(0 <= f.start_ns < 20_000 for f in flows)

@@ -2,14 +2,18 @@
 conservation, determinism, telemetry modes."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+from microburst import sim
 from microburst.analysis import QueueTrace
 from microburst.config import RunConfig
 from microburst.engine import Engine
+from microburst.netmodel import Port
+from microburst.packets import DATA
 from microburst.sim import AuditError, run_simulation, write_outputs
 from microburst.transport import Receiver, Sender
 
@@ -259,3 +263,134 @@ def test_query_ends_match_completion_order_when_cut_at_horizon(monkeypatch):
              else "cut" if len(pending[q.query_id]) < len(q.flow_ids)
              else "none done" for q, _ in res.queries}
     assert kinds == {"finished", "cut", "none done"}
+
+
+# a 20.5 ms run over a 40 ms web-search schedule: at the horizon some flows
+# have finished, some are still sending and the last ones never started
+CUT_WEBSEARCH = RunConfig(
+    seed=3, protocol="DCTCP+SL-ECN", duration_ns=20_500_000,
+    scenario={"kind": "websearch", "load": 0.6, "duration_ns": 40_000_000},
+    buffer_bytes=64_000, telemetry_mode="off")
+
+
+def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
+    # with the collector off, only reference counting can free a sender:
+    # every running flow's is live, and a finished flow's is gone unless a
+    # retransmission timer of its own is still pending (a timeout can leave
+    # one that ``_complete`` does not hold)
+    refs, live, timed = {}, set(), set()
+
+    class TrackedSender(Sender):
+        def __init__(self, flow_id, *args, **kwargs):
+            super().__init__(flow_id, *args, **kwargs)
+            refs[flow_id] = weakref.ref(self)
+
+    run_until = Engine.run_until
+
+    def observed_run_until(self, t_end_ns):
+        run_until(self, t_end_ns)
+        live.update(fid for fid, ref in refs.items() if ref() is not None)
+        timed.update(fn.__self__.flow_id for fn, _ in self.pending()
+                     if getattr(fn, "__func__", None) is Sender._rto_fire)
+
+    monkeypatch.setattr(sim, "Sender", TrackedSender)
+    monkeypatch.setattr(Engine, "run_until", observed_run_until)
+    gc.disable()
+    try:
+        res = run_simulation(CUT_WEBSEARCH)
+    finally:
+        gc.enable()
+    finished = {f.flow_id for f in res.flows if f.end_ns is not None}
+    started = set(refs)
+    assert finished and finished < started < {f.flow_id for f in res.flows}
+    assert live == (started - finished) | (finished & timed)
+    assert finished - timed
+
+
+def test_cut_run_records_every_flow_started_or_not(monkeypatch):
+    senders = []
+
+    class KeptSender(Sender):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            senders.append(self)
+
+    monkeypatch.setattr(sim, "Sender", KeptSender)
+    res = run_simulation(CUT_WEBSEARCH)
+    by_flow = {s.flow_id: s for s in senders}
+    never = [f for f in res.flows if f.flow_id not in by_flow]
+    assert never and all(f.start_ns > CUT_WEBSEARCH.duration_ns
+                         for f in never)
+    for f in never:
+        assert (f.end_ns, f.retransmits, f.timeouts, f.delivered_bytes,
+                f.first_ece_cut_ns) == (None, 0, 0, 0, None)
+    started = [f for f in res.flows if f.flow_id in by_flow]
+    assert any(f.end_ns is None for f in started)
+    assert any(f.first_ece_cut_ns is not None for f in started)
+    for f in started:
+        s = by_flow[f.flow_id]
+        assert (f.end_ns, f.retransmits, f.timeouts, f.first_ece_cut_ns) == \
+               (s.end_ns, s.retransmits, s.timeouts, s.first_ece_cut_ns)
+    assert res.summary.packets_sent == sum(s.sent for s in senders)
+
+
+# the golden case whose forwarding and final delivery are scheduled events
+DELAYED_LINKS = dict(
+    seed=9, protocol="DCTCP",
+    scenario={"kind": "sync_fanin", "n": 6, "response_bytes": 200_000,
+              "jitter_ns": 20_000},
+    buffer_bytes=128_000, link_rate_bps=10_000_000_000,
+    prop_delay_ns=2_000, hop_proc_ns=500, telemetry_mode="off")
+
+
+@pytest.fixture
+def in_flight(monkeypatch):
+    """The (queued, held) data packets each run's audit counted."""
+    seen = []
+    count = sim._data_in_flight
+
+    def recording(net, engine):
+        seen.append(count(net, engine))
+        return seen[-1]
+
+    monkeypatch.setattr(sim, "_data_in_flight", recording)
+    return seen
+
+
+@pytest.mark.parametrize("cfg, queued, held", [
+    (RunConfig(**DELAYED_LINKS), False, False),
+    (RunConfig(**dict(DELAYED_LINKS, duration_ns=300_000)), True, True),
+    (CUT_WEBSEARCH, True, False),
+], ids=["delayed_links", "delayed_links_cut", "websearch_cut"])
+def test_packet_audit_counts_data_in_flight(in_flight, cfg, queued, held):
+    # the audit passes; a cut run leaves data in port queues, and with link
+    # delays in pending forward and deliver events
+    res = run_simulation(cfg)
+    assert res.summary.packets_sent > res.summary.packets_delivered > 0
+    assert [(q > 0, h > 0) for q, h in in_flight] == [(queued, held)]
+    dropped = sum(p["data_drops"] for p in res.ports.values())
+    assert res.summary.packets_sent == (res.summary.packets_delivered
+                                        + dropped + sum(in_flight[0]))
+
+
+def test_audit_names_counts_when_a_port_loses_a_data_packet(monkeypatch):
+    # the port drops one data packet without counting it: bytes are still
+    # conserved and the flow recovers, so only the packet audit sees it
+    enqueue = Port.enqueue
+    lost = []
+
+    def losing_enqueue(self, pkt, now):
+        if self.port_id == "root->t4" and pkt.kind == DATA and not lost:
+            lost.append(pkt)
+            return
+        enqueue(self, pkt, now)
+
+    monkeypatch.setattr(Port, "enqueue", losing_enqueue)
+    with pytest.raises(AuditError) as err:
+        run_simulation(RunConfig(**DELAYED_LINKS))
+    counts = re.fullmatch(r"data packets: sent (\d+) != received (\d+) \+ "
+                          r"dropped 0 \+ queued 0 \+ held in delayed "
+                          r"events 0", str(err.value))
+    assert counts, str(err.value)
+    sent, received = map(int, counts.groups())
+    assert sent == received + len(lost)

@@ -2,7 +2,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microburst.netmodel import Port
 from microburst.packets import ACK, Packet
-from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, TransportParams
+from microburst.transport import (DCTCP, NEWRENO, RTO_MAX_NS, Receiver,
+                                  TransportParams)
 from microburst.units import GBPS
 
 MSS = 1500
@@ -214,6 +215,9 @@ def test_receiver_out_of_order_duplicate_ack(one_link):
     assert r.cum_ack == MSS
     r.on_data(p3, 10)          # hole: duplicate cumulative ack
     assert r.cum_ack == MSS
+    # the held segment is this receiver's alone
+    fresh = Receiver(1, (StubPort(),), dctcp_echo=False)
+    assert r.segments == {2 * MSS: 3 * MSS} and fresh.segments == {}
     r.on_data(p2, 20)          # hole filled: jumps past both
     assert r.cum_ack == 3 * MSS
 
