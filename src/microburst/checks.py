@@ -5,6 +5,11 @@ A check is a plan (a base config in the sectioned schema and the axes
 ``config.expand`` sweeps it over), a measure that keeps one small value of
 each run, and a verdict: PASS/FAIL notes over the measures in plan order
 that print the measured values against the check's tolerance.
+
+numpy and ``analysis`` are imported inside the measures and verdicts that
+use them, so a check that reads no trace and no array (``incast``,
+``pacing``, ``overshoot``, ``suppression``, ``utilization``,
+``equivalence``) never loads numpy.
 """
 
 import tempfile
@@ -12,11 +17,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .analysis import (QueueTrace, first_window_rate, segment_phases,
-                       slope_distribution, slope_upper_bound,
-                       time_weighted_stddev)
 from .config import DEFAULT_MONITOR_PORT as PORT, expand
 from .marking import SlopeEcn, mark_probability_from_arrival
 from .sim import run_plan, write_outputs
@@ -84,6 +84,7 @@ def _grid(values, axes):
 
 def _phase2(res):
     """The fan-in port's queue trace and its phase-2 growth slope (bps)."""
+    from .analysis import QueueTrace, segment_phases
     trace = QueueTrace.from_port_trace(res.traces[PORT])
     return trace, segment_phases(trace, res.first_ece_cut_ns).phase2.slope_bps
 
@@ -94,6 +95,7 @@ def _phase2_slope(res):
 
 def _slope_and_bound(res):
     """Phase-2 slope and its hidden-buffer bound 2aR/(a+R)."""
+    from .analysis import first_window_rate, slope_upper_bound
     trace, slope = _phase2(res)
     return slope, slope_upper_bound(first_window_rate(trace), GBPS)
 
@@ -104,6 +106,7 @@ def _peak(res):
 
 def _peak_and_stddev(res):
     """Peak queue and its time-weighted stddev after ``stddev_after_ns``."""
+    from .analysis import QueueTrace, time_weighted_stddev
     trace = QueueTrace.from_port_trace(res.traces[PORT])
     return _peak(res), time_weighted_stddev(trace, res.cfg.stddev_after_ns,
                                             res.end_ns)
@@ -149,6 +152,7 @@ _SYNC_FANIN = {"kind": "sync_fanin", "n": 18, "response_bytes": 1_000_000,
         lambda seed: {"seed": range(seed, seed + 20)}, _phase2_slope)
 def _law1(result, slopes, axes):
     """Sync fan-in without background: growth slope equals the port rate."""
+    from .analysis import slope_distribution
     dist = slope_distribution(slopes)
     gbps = [s / 1e9 for s in slopes]
     result.note(all(0.95 <= g <= 1.05 for g in gbps),
@@ -186,6 +190,7 @@ def _law2(result, slopes, axes):
 def _law3(result, values, axes):
     """Hidden upstream buffer: slope grows with the upstream buffer size and
     stays below 2aR/(a+R)."""
+    import numpy as np
     means = {buffer_bytes // 1000: float(np.mean([s for s, _ in runs.values()]))
              for buffer_bytes, runs in _grid(values, axes).items()}
     bound_text = [f"{slope / 1e9:.3f}<=1.05*{bound / 1e9:.3f}"
@@ -350,6 +355,7 @@ def _pacing(result, values, axes):
 def _workload(result, values, axes):
     """Reduced-scale web-search workload: slope marking lowers query
     completion times under DCTCP hosts."""
+    import numpy as np
     pools = {p: np.asarray([q for qcts in runs.values() for q in qcts],
                            dtype=np.float64)
              for p, runs in _grid(values, axes).items()}

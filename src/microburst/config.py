@@ -15,8 +15,6 @@ import copy
 import itertools
 from dataclasses import dataclass, field, asdict
 
-import yaml
-
 from .topology import PORT_IDS
 from .transport import NEWRENO, DCTCP
 from .units import GBPS
@@ -50,7 +48,7 @@ PRESET_PORTS = frozenset(PORT_IDS)
 _COUNTS = {"duration_ns": 0, "link_rate_bps": 1, "prop_delay_ns": 0,
            "hop_proc_ns": 0, "buffer_bytes": 0, "ecn_threshold_bytes": 0,
            "mss_bytes": 1, "initial_window_packets": 1, "max_cwnd_packets": 1,
-           "rto_min_ns": 0, "initial_rtt_ns": 0, "stddev_after_ns": 0,
+           "rto_min_ns": 1, "initial_rtt_ns": 0, "stddev_after_ns": 0,
            "drain_grace_ns": 0}
 
 
@@ -250,6 +248,7 @@ def expand(raw: dict, axes: dict) -> list:
 
 def read_yaml(path: str):
     """A YAML file's contents; ConfigError naming ``<file>`` if unreadable."""
+    import yaml   # local import: PyYAML loads only for runs that need it
     try:
         with open(path) as fh:
             return yaml.safe_load(fh)
@@ -265,6 +264,7 @@ def load_config(path: str) -> RunConfig:
 
 def effective_yaml(cfg: RunConfig) -> str:
     """``cfg`` in the sectioned schema, so ``config_from_dict`` loads it back."""
+    import yaml
     flat = asdict(cfg)
     raw = {key: flat[key] for key in _TOP_FIELDS}
     for section, names in _SECTIONS.items():

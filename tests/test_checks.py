@@ -5,11 +5,15 @@ is a sha256 over the ``effective_yaml`` of every config in that plan, in
 order; they were recorded by wrapping the simulation entry point while the
 twelve checks ran as hand-written loops, before they became plans.  So a
 change to how plans are built cannot silently change what a check runs.
-These tests build plans only; the hook test runs the two short pacing runs.
+These tests build plans only; the hook test runs the two short pacing runs,
+and the import test runs them again in a fresh interpreter.
 """
 
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +68,20 @@ def test_simulation_wrapper_sees_every_check_run(monkeypatch):
     assert checks.run_check("pacing").passed
     assert seen == [effective_yaml(cfg) for _, cfg in checks.plan("pacing")]
     assert len(seen) == 2
+
+
+def test_checks_without_traces_load_neither_numpy_nor_yaml():
+    """Importing the package, its checks and its CLI, then running two checks
+    that read no trace and no YAML, leaves numpy and PyYAML unloaded."""
+    code = ("import sys\n"
+            "import microburst, microburst.checks, microburst.cli\n"
+            "from microburst.checks import run_check\n"
+            "assert run_check('equivalence').passed\n"
+            "assert run_check('pacing').passed\n"
+            "print(sorted({'numpy', 'yaml'} & set(sys.modules)))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

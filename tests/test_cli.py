@@ -158,6 +158,7 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("transport", "max_cwnd_packets", 0, "transport.max_cwnd_packets"),
     ("transport", "initial_window_packets", 0, "transport.initial_window_packets"),
     ("transport", "mss_bytes", 0, "transport.mss_bytes"),
+    ("transport", "rto_min_ns", 0, "transport.rto_min_ns"),
     ("switch", "secn_clamp", False, "switch.secn_clamp"),
     ("switch", "secn_exact_fraction", False, "switch.secn_exact_fraction"),
     ("switch", "secn_mark_next", True, "switch.secn_mark_next"),
