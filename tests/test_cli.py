@@ -158,7 +158,6 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("transport", "max_cwnd_packets", 0, "transport.max_cwnd_packets"),
     ("transport", "initial_window_packets", 0, "transport.initial_window_packets"),
     ("transport", "mss_bytes", 0, "transport.mss_bytes"),
-    ("transport", "rto_min_ns", 0, "transport.rto_min_ns"),
     ("switch", "secn_clamp", False, "switch.secn_clamp"),
     ("switch", "secn_exact_fraction", False, "switch.secn_exact_fraction"),
     ("switch", "secn_mark_next", True, "switch.secn_mark_next"),
@@ -193,6 +192,7 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario:incast", "total_bytes", 3, "scenario.total_bytes"),
     ("scenario:sync_fanin", "senders", [], "scenario.senders"),
     ("scenario:sync_fanin", "senders", "h1", "scenario.senders"),
+    ("transport", "rto_min_ns", 0, "transport.rto_min_ns"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):
