@@ -96,8 +96,8 @@ class Network:
             return      # a late ACK of a finished flow
         sender.on_ack(pkt, now)
         if sender.done:
-            # _complete cancelled its timers, so only a stray retransmission
-            # timer an earlier timeout left pending can still hold it
+            # _complete cancelled its only timers, so once dropped here the
+            # sender is freed
             del self.senders[pkt.flow_id]
             self.finished[pkt.flow_id] = _outcome(sender)
 

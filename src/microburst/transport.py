@@ -109,7 +109,6 @@ class Sender:
         self._send_available(now)
         self.round_end = self.next_seq
         self.win_end = self.next_seq
-        self._arm_rto(now)
 
     # -- segment emission ---------------------------------------------------
 
@@ -128,8 +127,8 @@ class Sender:
         self.sent += 1
         if not retransmit and self.rtt_probe is None:
             self.rtt_probe = (seq_lo + size, now)
-        if self.rto_timer is None and not self.done:
-            self._arm_rto(now)
+        if self.rto_timer is None:
+            self._arm_rto(now + self.rto)
         self.route[0].enqueue(pkt, now)
 
     def _send_available(self, now):
@@ -153,8 +152,7 @@ class Sender:
 
     def _pace_fire(self, now, _):
         self.pace_timer = None
-        if not self.done:
-            self._send_available(now)
+        self._send_available(now)
 
     # -- ACK processing -----------------------------------------------------
 
@@ -282,25 +280,20 @@ class Sender:
         self.rttvar += (abs(delta) - self.rttvar) // 4
         self.rto = max(self.srtt + 4 * self.rttvar, self.params.rto_min_ns)
 
-    def _arm_rto(self, now):
-        self.rto_deadline = now + self.rto
-        if self.rto_timer is None:
-            self.rto_timer = self.engine.schedule(self.rto_deadline,
-                                                  self._rto_fire, None)
+    def _arm_rto(self, deadline):
+        """The one place the retransmission timer is scheduled; the caller
+        checks that none is pending, so a sender holds at most one."""
+        self.rto_deadline = deadline
+        self.rto_timer = self.engine.schedule(deadline, self._rto_fire, None)
 
     def _rto_fire(self, now, _):
         self.rto_timer = None
-        if self.done:
-            return
         if self.highest_acked >= self.next_seq:
             return   # nothing outstanding; re-armed on next emission
-        if now < self.rto_deadline:
-            self.rto_timer = self.engine.schedule(self.rto_deadline,
-                                                  self._rto_fire, None)
-            return
-        self.on_timeout(now)
-        self.rto_timer = self.engine.schedule(self.rto_deadline,
-                                              self._rto_fire, None)
+        if now >= self.rto_deadline:
+            self.on_timeout(now)   # its resend re-arms, unless paced
+        if self.rto_timer is None:
+            self._arm_rto(self.rto_deadline)
 
     def on_timeout(self, now):
         mss = self.params.mss

@@ -275,10 +275,9 @@ CUT_WEBSEARCH = RunConfig(
 
 def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
     # with the collector off, only reference counting can free a sender:
-    # every running flow's is live, and a finished flow's is gone unless a
-    # retransmission timer of its own is still pending (a timeout can leave
-    # one that ``_complete`` does not hold)
-    refs, live, timed = {}, set(), set()
+    # every running flow's is live, and every finished flow's is gone, as
+    # ``_complete`` cancelled the only timers that held it
+    refs, live = {}, set()
 
     class TrackedSender(Sender):
         def __init__(self, flow_id, *args, **kwargs):
@@ -290,8 +289,6 @@ def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
     def observed_run_until(self, t_end_ns):
         run_until(self, t_end_ns)
         live.update(fid for fid, ref in refs.items() if ref() is not None)
-        timed.update(fn.__self__.flow_id for fn, _ in self.pending()
-                     if getattr(fn, "__func__", None) is Sender._rto_fire)
 
     monkeypatch.setattr(sim, "Sender", TrackedSender)
     monkeypatch.setattr(Engine, "run_until", observed_run_until)
@@ -303,8 +300,7 @@ def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
     finished = {f.flow_id for f in res.flows if f.end_ns is not None}
     started = set(refs)
     assert finished and finished < started < {f.flow_id for f in res.flows}
-    assert live == (started - finished) | (finished & timed)
-    assert finished - timed
+    assert live == started - finished
 
 
 def test_cut_run_records_every_flow_started_or_not(monkeypatch):

@@ -3,7 +3,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from microburst.netmodel import Port
 from microburst.packets import ACK, Packet
 from microburst.transport import (DCTCP, NEWRENO, RTO_MAX_NS, Receiver,
-                                  TransportParams)
+                                  Sender, TransportParams)
 from microburst.units import GBPS
 
 MSS = 1500
@@ -297,6 +297,14 @@ class LossyPort(Port):
 _LOSSES = st.sets(st.integers(1, 120), max_size=25)
 
 
+def lossy(net, deliver, data_drops, ack_drops):
+    """Route the one-link flow over two LossyPorts that deliver to ``deliver``."""
+    fwd = LossyPort(net.engine, deliver, data_drops)
+    rev = LossyPort(net.engine, deliver, ack_drops)
+    net.sender.route, net.receiver.route = (fwd,), (rev,)
+    return fwd
+
+
 @settings(max_examples=150,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(algo=st.sampled_from([NEWRENO, DCTCP]),
@@ -312,9 +320,7 @@ def test_flow_survives_adversarial_drops(one_link, algo, segments,
         net._deliver(now, pkt)
         seen.append((r.cum_ack, s.highest_acked, s.rto))
 
-    fwd = LossyPort(net.engine, deliver, data_drops)
-    rev = LossyPort(net.engine, deliver, ack_drops)
-    s.route, r.route = (fwd,), (rev,)
+    fwd = lossy(net, deliver, data_drops, ack_drops)
     s.start(0)
     net.run(1 << 62)
     assert s.done and r.cum_ack == s.total
@@ -322,3 +328,35 @@ def test_flow_survives_adversarial_drops(one_link, algo, segments,
         assert c1 >= c0 and h1 >= h0
     assert max(rto for _, _, rto in seen) <= RTO_MAX_NS
     assert s.sent == r.received + fwd.dropped
+
+
+def pending_timers(engine, sender):
+    """Pending (retransmission, pacing) timers of ``sender``."""
+    fns = [fn.__func__ for fn, _ in engine.pending()
+           if getattr(fn, "__self__", None) is sender]
+    return fns.count(Sender._rto_fire), fns.count(Sender._pace_fire)
+
+
+@settings(max_examples=150,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(algo=st.sampled_from([NEWRENO, DCTCP]), pacing=st.booleans(),
+       segments=st.integers(1, 60), data_drops=_LOSSES, ack_drops=_LOSSES)
+def test_sender_holds_at_most_one_timer_of_each_kind(one_link, algo, pacing,
+                                                     segments, data_drops,
+                                                     ack_drops):
+    # a timeout must not leave a second retransmission timer behind, and a
+    # finished sender must hold none, so nothing keeps it alive
+    net = one_link(algo=algo, total_bytes=segments * MSS, pacing=pacing)
+    s = net.sender
+    seen = []    # (done, pending timers) after each delivery
+
+    def deliver(now, pkt):
+        net._deliver(now, pkt)
+        seen.append((s.done, pending_timers(net.engine, s)))
+
+    lossy(net, deliver, data_drops, ack_drops)
+    s.start(0)
+    net.run(1 << 62)
+    assert s.done
+    assert all(rto <= 1 and pace <= 1 for _, (rto, pace) in seen)
+    assert all(timers == (0, 0) for done, timers in seen if done)
