@@ -128,8 +128,8 @@ DIGESTS = {
         'trace.csv': 'ea30dd894ace811f6e00eb6cc272875926ae37069976befc7b8840e1fed71dc6',
         'flows.csv': '1797310be20dbb203ee0d577079c3d6c2fa7ff17e8da9d2b4d8943e0ae8210fe',
         'queries.csv': None,
-        'metrics.csv': '091c2c80836aed5c92c153fe7687ccd0c7efcca6bab3719a69bc3331c57f1a94',
-        'summary.txt': '9af7fce5adf797462b91743cb3d3d7da09640dbc7534b9c12671bce5c7317d43',
+        'metrics.csv': '0206433cd3061c7977ec84d564778da5b50386bbfbe2dbc0fa4c2609160b7cf7',
+        'summary.txt': '7c5286d0ac912062eff19c29f77f3d8edf3d4d5eb412e751ffb6d5f4007f3287',
     },
 }
 
