@@ -227,29 +227,24 @@ class Sender:
         if self.cwnd > self.params.max_cwnd:
             self.cwnd = self.params.max_cwnd
 
-    def _note_ece_cut(self, now):
+    def _cut(self, cwnd, now):
+        """Cut the window to ``cwnd``, floored at one MSS, on a congestion mark."""
+        self.cwnd = self.ssthresh = max(cwnd, self.params.mss)
+        self.cwr_pending = True
         if self.first_ece_cut_ns is None:
             self.first_ece_cut_ns = now
 
     def _ece_cut(self, now):
-        mss = self.params.mss
-        self.cwnd = max(self.cwnd // 2, mss)
-        self.ssthresh = max(self.cwnd, mss)
+        self._cut(self.cwnd // 2, now)
         self.ca_credit = 0
         self.cut_seq = self.next_seq   # one reduction per window
-        self.cwr_pending = True
-        self._note_ece_cut(now)
 
     def _dctcp_window_boundary(self, now):
         if self.win_acked > 0:
             frac = self.win_marked / self.win_acked
             self.alpha += self.params.dctcp_gain * (frac - self.alpha)
             if self.win_marked > 0:
-                mss = self.params.mss
-                self.cwnd = max(self.cwnd - int(self.cwnd * self.alpha / 2), mss)
-                self.ssthresh = max(self.cwnd, mss)
-                self.cwr_pending = True
-                self._note_ece_cut(now)
+                self._cut(self.cwnd - int(self.cwnd * self.alpha / 2), now)
         self.win_acked = 0
         self.win_marked = 0
         self.win_end = self.next_seq
