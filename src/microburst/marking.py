@@ -46,20 +46,11 @@ class InvalidRate(Exception):
     """Port rate must be positive."""
 
 
-class NoPreviousArrival(Exception):
-    """First arrival at a port has no inter-arrival gap; treat as prob 0."""
-
-
-def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns, rate_bps: int) -> float:
-    """Per-arrival form of the slope probability, in byte units.
-
-    `interarrival_ns` of None means this is the first packet seen at the
-    port; the caller must treat that as probability 0.
-    """
+def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns: int,
+                                  rate_bps: int) -> float:
+    """Per-arrival form of the slope probability, in byte units."""
     if rate_bps <= 0:
         raise InvalidRate(f"rate must be > 0, got {rate_bps}")
-    if interarrival_ns is None:
-        raise NoPreviousArrival("no previous arrival at this port")
     ri = rate_time_to_bytes(rate_bps, interarrival_ns)
     if pkt_bytes <= ri:
         return 0.0

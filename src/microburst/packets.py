@@ -3,7 +3,6 @@
 DATA = 0
 ACK = 1
 
-MSS = 1500        # data segment size on the wire, headers included
 ACK_SIZE = 64
 
 

@@ -3,9 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microburst.marking import (InvalidRate, NoPreviousArrival, RandomSlopeEcn,
-                                SlopeEcn, ThresholdEcn,
-                                mark_probability_from_arrival)
+from microburst.marking import (InvalidRate, RandomSlopeEcn, SlopeEcn,
+                                ThresholdEcn, mark_probability_from_arrival)
 from microburst.units import GBPS, rate_time_to_bytes
 
 R = GBPS
@@ -55,11 +54,6 @@ def test_arrival_probability_branches():
 def test_arrival_probability_invalid_rate():
     with pytest.raises(InvalidRate):
         mark_probability_from_arrival(1500, 12_000, 0)
-
-
-def test_arrival_probability_first_packet():
-    with pytest.raises(NoPreviousArrival):
-        mark_probability_from_arrival(1500, None, R)
 
 
 # -- accumulator scheme -------------------------------------------------------
