@@ -82,6 +82,20 @@ def _sorted(flows):
 
 # -- micro-burst scenarios ---------------------------------------------------
 
+def _burst(first_id, n, senders, receiver, size, start_ns, jitter_ns, rng):
+    """n flows of ``size`` bytes to one receiver, senders taken in turn,
+    each starting at start_ns plus a uniform draw below jitter_ns."""
+    return [FlowSpec(first_id + i, senders[i % len(senders)], receiver, size,
+                     start_ns + (rng.randrange(jitter_ns) if jitter_ns else 0))
+            for i in range(n)]
+
+
+def _background(srcs, count, size):
+    """Long-lived flows from ``srcs`` in turn, alternating between the sinks."""
+    return [FlowSpec(i, srcs[i % len(srcs)], BACKGROUND_SINKS[i % 2], size, 0,
+                     burst=False) for i in range(count)]
+
+
 def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                    rng=None, receiver=FANIN_RECEIVER, senders=None):
     """n concurrent flows to one receiver, optionally with a small uniform
@@ -93,25 +107,15 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                            f"preset hosts h1..h12, got {senders!r}")
     _check_hosts("receiver", [receiver])
     _check_hosts("senders", senders)
-    flows = []
-    for i in range(n):
-        t = start_ns
-        if jitter_ns:
-            t += rng.randrange(jitter_ns)
-        flows.append(FlowSpec(i, senders[i % len(senders)], receiver,
-                              response_bytes, t))
-    return _sorted(flows), []
+    return _sorted(_burst(0, n, senders, receiver, response_bytes, start_ns,
+                          jitter_ns, rng)), []
 
 
 def gen_async_fanin(n, window_ns=2_000_000, response_bytes=1_000_000,
                     start_ns=0, rng=None):
     """n flows starting uniformly at random inside a window."""
-    flows = []
-    for i in range(n):
-        offset = rng.randrange(window_ns) if window_ns else 0
-        flows.append(FlowSpec(i, FANIN_SENDERS[i % len(FANIN_SENDERS)],
-                              FANIN_RECEIVER, response_bytes, start_ns + offset))
-    return _sorted(flows), []
+    return gen_sync_fanin(n, response_bytes, start_ns, jitter_ns=window_ns,
+                          rng=rng)
 
 
 def gen_one_background(fanin_count=8, response_bytes=1_000_000,
@@ -119,11 +123,8 @@ def gen_one_background(fanin_count=8, response_bytes=1_000_000,
                        jitter_ns=0, rng=None):
     """One long-lived flow first, then a fan-in burst at the same bottleneck."""
     flows = [FlowSpec(0, "h9", "h11", background_bytes, 0, burst=False)]
-    senders = [f"h{i}" for i in range(1, 9)]
-    for i in range(fanin_count):
-        t = delay_ns + (rng.randrange(jitter_ns) if jitter_ns else 0)
-        flows.append(FlowSpec(i + 1, senders[i % len(senders)],
-                              FANIN_RECEIVER, response_bytes, t))
+    flows += _burst(1, fanin_count, [f"h{i}" for i in range(1, 9)],
+                    FANIN_RECEIVER, response_bytes, delay_ns, jitter_ns, rng)
     return _sorted(flows), []
 
 
@@ -133,17 +134,10 @@ def gen_background_same_hop(background_count=3, fanin_count=12,
                             jitter_ns=0, rng=None):
     """Background flows already queueing at the fan-in port when the burst
     starts; fan-in senders exclude the background hosts."""
-    bg_srcs = ["h1", "h4", "h7"]
-    flows = []
-    for i in range(background_count):
-        flows.append(FlowSpec(i, bg_srcs[i % 3],
-                              BACKGROUND_SINKS[i % 2], background_bytes, 0,
-                              burst=False))
-    senders = ["h2", "h3", "h5", "h6", "h8", "h9"]
-    for i in range(fanin_count):
-        t = delay_ns + (rng.randrange(jitter_ns) if jitter_ns else 0)
-        flows.append(FlowSpec(background_count + i, senders[i % len(senders)],
-                              FANIN_RECEIVER, response_bytes, t))
+    flows = _background(["h1", "h4", "h7"], background_count, background_bytes)
+    flows += _burst(background_count, fanin_count,
+                    ["h2", "h3", "h5", "h6", "h8", "h9"], FANIN_RECEIVER,
+                    response_bytes, delay_ns, jitter_ns, rng)
     return _sorted(flows), []
 
 
@@ -154,17 +148,10 @@ def gen_background_prev_hop(background_count=3, fanin_count=6,
     """Background flows congest their rack uplink; the fan-in burst then
     moves the congestion point downstream and the rack's built-up queue
     drains into it (the hidden buffer)."""
-    bg_srcs = ["h7", "h8", "h9"]
-    flows = []
-    for i in range(background_count):
-        flows.append(FlowSpec(i, bg_srcs[i % 3],
-                              BACKGROUND_SINKS[i % 2], background_bytes, 0,
-                              burst=False))
-    senders = [f"h{i}" for i in range(1, 7)]
-    for i in range(fanin_count):
-        t = delay_ns + (rng.randrange(jitter_ns) if jitter_ns else 0)
-        flows.append(FlowSpec(background_count + i, senders[i % len(senders)],
-                              FANIN_RECEIVER, response_bytes, t))
+    flows = _background(["h7", "h8", "h9"], background_count, background_bytes)
+    flows += _burst(background_count, fanin_count,
+                    [f"h{i}" for i in range(1, 7)], FANIN_RECEIVER,
+                    response_bytes, delay_ns, jitter_ns, rng)
     return _sorted(flows), []
 
 
