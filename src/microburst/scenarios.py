@@ -91,7 +91,7 @@ def _burst(first_id, n, senders, receiver, size, start_ns, jitter_ns, rng):
 
 
 def _background(srcs, count, size):
-    """Long-lived flows from ``srcs`` in turn, alternating between the sinks."""
+    """Long-lived flows from ``srcs`` in turn, to the sinks in turn."""
     return [FlowSpec(i, srcs[i % len(srcs)], BACKGROUND_SINKS[i % 2], size, 0,
                      burst=False) for i in range(count)]
 

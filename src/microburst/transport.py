@@ -228,7 +228,7 @@ class Sender:
             self.cwnd = self.params.max_cwnd
 
     def _cut(self, cwnd, now):
-        """Cut the window to ``cwnd``, floored at one MSS, on a congestion mark."""
+        """Cut cwnd and ssthresh to ``cwnd`` (at least one MSS) on a mark."""
         self.cwnd = self.ssthresh = max(cwnd, self.params.mss)
         self.cwr_pending = True
         if self.first_ece_cut_ns is None:

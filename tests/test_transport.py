@@ -298,7 +298,7 @@ _LOSSES = st.sets(st.integers(1, 120), max_size=25)
 
 
 def lossy(net, deliver, data_drops, ack_drops):
-    """Route the one-link flow over two LossyPorts that deliver to ``deliver``."""
+    """Route the one-link flow over two LossyPorts delivering to ``deliver``."""
     fwd = LossyPort(net.engine, deliver, data_drops)
     rev = LossyPort(net.engine, deliver, ack_drops)
     net.sender.route, net.receiver.route = (fwd,), (rev,)
