@@ -1,14 +1,8 @@
 """Run configuration: YAML schema, defaults, validation, protocol matrix.
 
-A run is one scenario under one protocol.  The protocol names pair a host
-congestion-control algorithm with a switch marking policy:
-
-    TCP           NewReno, no ECN     tail-drop only
-    ECN*          NewReno + ECN       threshold marking
-    S-ECN         NewReno + ECN       slope marking
-    SL-ECN        NewReno + ECN       slope below threshold, all above
-    DCTCP         DCTCP               threshold marking
-    DCTCP+SL-ECN  DCTCP               slope below threshold, all above
+A run is one scenario under one protocol.  ``PROTOCOLS`` pairs each
+protocol name with a host congestion-control algorithm and the marking of
+every switch port.
 """
 
 import copy
@@ -29,13 +23,13 @@ class ConfigError(Exception):
 
 
 PROTOCOLS = {
-    # name: (host algorithm, ecn capable, policy kind)
-    "TCP": (NEWRENO, False, "taildrop"),
-    "ECN*": (NEWRENO, True, "threshold"),
-    "S-ECN": (NEWRENO, True, "slope"),
-    "SL-ECN": (NEWRENO, True, "slope+threshold"),
-    "DCTCP": (DCTCP, True, "threshold"),
-    "DCTCP+SL-ECN": (DCTCP, True, "slope+threshold"),
+    # name: (host algorithm, ecn capable, threshold marking, slope marking)
+    "TCP": (NEWRENO, False, False, False),         # tail drop only
+    "ECN*": (NEWRENO, True, True, False),
+    "S-ECN": (NEWRENO, True, False, True),
+    "SL-ECN": (NEWRENO, True, True, True),         # slope below K, all above
+    "DCTCP": (DCTCP, True, True, False),
+    "DCTCP+SL-ECN": (DCTCP, True, True, True),
 }
 
 TELEMETRY_MODES = ("exact", "fidelity", "off")
@@ -140,12 +134,6 @@ class RunConfig:
                                   f"no port {port!r} in the preset topology; "
                                   f"names are '<node>-><node>', e.g. "
                                   f"{DEFAULT_MONITOR_PORT!r}")
-        kind = self.scenario.get("kind")
-        if kind == "websearch":
-            load = self.scenario.get("load")
-            if not isinstance(load, (int, float)) or not 0 < load < 1:
-                raise ConfigError("scenario.load",
-                                  f"must be in (0,1), got {load!r}")
         if self.sweep is not None:
             sweep = self.sweep if isinstance(self.sweep, dict) else {}
             param, values = sweep.get("param"), sweep.get("values")
@@ -160,9 +148,6 @@ class RunConfig:
 
     def ecn_capable(self):
         return PROTOCOLS[self.protocol][1]
-
-    def policy_kind(self):
-        return PROTOCOLS[self.protocol][2]
 
 
 _SECTIONS = {

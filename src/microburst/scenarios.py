@@ -202,6 +202,9 @@ def load_size_cdf(path=None):
     if path is None:
         text = (resources.files("microburst") / "data" /
                 "websearch_sizes.cdf").read_text()
+    elif not isinstance(path, str):   # an int would open a file descriptor
+        raise InvalidParam(f"scenario.cdf_path: must be a file path, "
+                           f"got {path!r}")
     else:
         try:
             with open(path) as fh:
@@ -257,11 +260,11 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     `query_bytes`, split evenly with the remainder on the first responder.
     Background flow sizes come from the bundled (approximate) step CDF.
     """
-    if not 0 < load < 1:
-        raise InvalidParam(f"scenario.load: must be in (0,1), got {load}")
-    if not 0 < query_fraction < 1:
-        raise InvalidParam("scenario.query_fraction: must be in (0,1), "
-                           f"got {query_fraction}")
+    for name, value in (("load", load), ("query_fraction", query_fraction)):
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not 0 < value < 1):
+            raise InvalidParam(f"scenario.{name}: must be a number in (0,1), "
+                               f"got {value!r}")
     _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
     responders = [h for h in HOSTS if h != master]
@@ -326,6 +329,9 @@ _INTS = {"n": 1, "fanin_count": 1, "background_count": 1, "batch": 1,
          "start_ns": 0, "delay_ns": 0, "jitter_ns": 0, "window_ns": 0,
          "interval_ns": 0, "duration_ns": 1}
 
+# generator arguments the simulator supplies, never the config
+_RESERVED = ("rng", "link_rate_bps", "cdf")
+
 
 def build_schedule(scenario: dict, rng, link_rate_bps):
     params = dict(scenario)
@@ -333,6 +339,10 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
     gen = GENERATORS.get(kind)
     if gen is None:
         raise InvalidParam(f"scenario.kind: unknown scenario {kind!r}")
+    for name in _RESERVED:
+        if name in params:
+            raise InvalidParam(f"scenario.{name}: set by the simulator, "
+                               "not by the config")
     for name, minimum in _INTS.items():
         value = params.get(name, minimum)
         if (not isinstance(value, int) or isinstance(value, bool)

@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .config import RunConfig, effective_yaml
+from .config import PROTOCOLS, RunConfig, effective_yaml
 from .engine import Engine
 from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
@@ -25,14 +25,13 @@ from .transport import Sender, Receiver, TransportParams, DCTCP
 
 def _make_policy(cfg: RunConfig):
     """A fresh marking policy for one switch port; None never marks."""
-    kind = cfg.policy_kind()
-    if kind == "taildrop":
-        return None
-    if kind == "threshold":
+    threshold, slope = PROTOCOLS[cfg.protocol][2:]
+    if slope:
+        return SlopeEcn(cfg.link_rate_bps,
+                        cfg.ecn_threshold_bytes if threshold else None)
+    if threshold:
         return ThresholdEcn(cfg.ecn_threshold_bytes)
-    if kind == "slope":
-        return SlopeEcn(cfg.link_rate_bps)
-    return SlopeEcn(cfg.link_rate_bps, cfg.ecn_threshold_bytes)
+    return None
 
 
 class Network:
@@ -44,16 +43,7 @@ class Network:
 
     def __init__(self, engine, cfg: RunConfig):
         self.engine = engine
-        self.params = TransportParams(mss=cfg.mss_bytes,
-                                      iw_packets=cfg.initial_window_packets,
-                                      max_cwnd_packets=cfg.max_cwnd_packets,
-                                      rto_min_ns=cfg.rto_min_ns,
-                                      dctcp_gain=cfg.dctcp_gain,
-                                      dctcp_alpha0=cfg.dctcp_alpha0,
-                                      initial_rtt_ns=cfg.initial_rtt_ns)
-        self.algo = cfg.host_algorithm()
-        self.ecn = cfg.ecn_capable()
-        self.pacing = cfg.pacing
+        self.params = TransportParams(cfg)
         self.ports = {}
         self._routes = {}
         for link in LINKS:
@@ -164,12 +154,11 @@ class RunResult:
 def _start_flow(now, arg):
     """Build a flow's endpoints at its start and send its first window."""
     net, spec = arg
-    fid, algo = spec.flow_id, net.algo
-    sender = Sender(fid, algo, spec.size_bytes, net.route(spec.src, spec.dst),
-                    net.engine, net.params, ecn_capable=net.ecn,
-                    pacing=net.pacing, annotate=spec.burst)
+    fid, params = spec.flow_id, net.params
+    sender = Sender(fid, spec.size_bytes, net.route(spec.src, spec.dst),
+                    net.engine, params, annotate=spec.burst)
     net.receivers[fid] = Receiver(fid, net.route(spec.dst, spec.src),
-                                  dctcp_echo=(algo == DCTCP))
+                                  dctcp_echo=(params.algo == DCTCP))
     net.senders[fid] = sender
     sender.start(now)
 

@@ -17,21 +17,23 @@ RTO_MAX_NS = 10_000_000_000
 
 
 class TransportParams:
-    """Per-run transport knobs shared by all flows."""
+    """Per-run transport knobs shared by all flows, read from a RunConfig."""
 
-    __slots__ = ("mss", "iw_packets", "max_cwnd", "rto_min_ns", "dctcp_gain",
-                 "dctcp_alpha0", "initial_rtt_ns")
+    __slots__ = ("algo", "ecn_capable", "pacing", "mss", "iw_packets",
+                 "max_cwnd", "rto_min_ns", "dctcp_gain", "dctcp_alpha0",
+                 "initial_rtt_ns")
 
-    def __init__(self, mss=1500, iw_packets=3, max_cwnd_packets=64,
-                 rto_min_ns=10_000_000, dctcp_gain=0.125, dctcp_alpha0=1.0,
-                 initial_rtt_ns=50_000):
-        self.mss = mss
-        self.iw_packets = iw_packets
-        self.max_cwnd = max_cwnd_packets * mss
-        self.rto_min_ns = rto_min_ns
-        self.dctcp_gain = dctcp_gain
-        self.dctcp_alpha0 = dctcp_alpha0
-        self.initial_rtt_ns = initial_rtt_ns
+    def __init__(self, cfg):
+        self.algo = cfg.host_algorithm()
+        self.ecn_capable = cfg.ecn_capable()
+        self.pacing = cfg.pacing
+        self.mss = cfg.mss_bytes
+        self.iw_packets = cfg.initial_window_packets
+        self.max_cwnd = cfg.max_cwnd_packets * cfg.mss_bytes
+        self.rto_min_ns = cfg.rto_min_ns
+        self.dctcp_gain = cfg.dctcp_gain
+        self.dctcp_alpha0 = cfg.dctcp_alpha0
+        self.initial_rtt_ns = cfg.initial_rtt_ns
 
 
 class Sender:
@@ -45,19 +47,19 @@ class Sender:
                  "srtt", "rttvar", "rto", "rto_deadline", "rto_timer",
                  "rtt_probe", "pace_next", "pace_timer",
                  "round", "round_end",
-                 "start_ns", "end_ns", "done", "sent", "retransmits",
+                 "end_ns", "done", "sent", "retransmits",
                  "timeouts", "first_ece_cut_ns")
 
-    def __init__(self, flow_id, algo, total_bytes, route, engine, params,
-                 ecn_capable, pacing=False, annotate=True):
+    def __init__(self, flow_id, total_bytes, route, engine, params,
+                 annotate=True):
         self.flow_id = flow_id
-        self.algo = algo
+        self.algo = params.algo
         self.engine = engine
         self.route = route
         self.params = params
         self.total = total_bytes
-        self.ecn_capable = ecn_capable
-        self.pacing = pacing
+        self.ecn_capable = params.ecn_capable
+        self.pacing = params.pacing
         self.annotate = annotate
 
         mss = params.mss
@@ -89,7 +91,6 @@ class Sender:
         self.round = 0
         self.round_end = 0
 
-        self.start_ns = None
         self.end_ns = None
         self.done = False
         self.sent = 0           # data packets, retransmissions included
@@ -105,7 +106,6 @@ class Sender:
     # -- application start --------------------------------------------------
 
     def start(self, now):
-        self.start_ns = now
         self._send_available(now)
         self.round_end = self.next_seq
         self.win_end = self.next_seq

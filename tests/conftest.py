@@ -4,6 +4,7 @@ and the hypothesis profile every test runs under."""
 import pytest
 from hypothesis import settings
 
+from microburst.config import RunConfig
 from microburst.engine import Engine
 from microburst.netmodel import Port
 from microburst.packets import DATA
@@ -15,21 +16,32 @@ settings.register_profile("deterministic", derandomize=True, deadline=None,
 settings.load_profile("deterministic")
 
 
+# the ECN-capable protocol of each host algorithm
+_PROTOCOL_OF = {"newreno": "ECN*", "dctcp": "DCTCP"}
+
+
+def transport_params(algo, **fields):
+    """TransportParams of a run of ``algo`` whose RunConfig sets ``fields``
+    and keeps every other default."""
+    cfg = RunConfig(seed=1, protocol=_PROTOCOL_OF[algo],
+                    scenario={"kind": "incast"}, **fields)
+    return TransportParams(cfg.validate())
+
+
 class OneLink:
-    """Sender and receiver joined by one forward and one reverse port."""
+    """Sender and receiver joined by one forward and one reverse port;
+    ``fields`` are RunConfig transport fields, e.g. ``pacing=True``."""
 
     def __init__(self, rate_bps=1_000_000_000, algo="newreno",
-                 total_bytes=1_000_000, ecn_capable=True, params=None,
-                 pacing=False):
+                 total_bytes=1_000_000, **fields):
         self.engine = Engine()
         self.fwd = Port("fwd", rate_bps, None, None, self.engine,
                         deliver_fn=self._deliver)
         self.rev = Port("rev", rate_bps, None, None, self.engine,
                         deliver_fn=self._deliver)
-        self.params = params or TransportParams()
-        self.sender = Sender(0, algo, total_bytes, (self.fwd,), self.engine,
-                             self.params, ecn_capable=ecn_capable,
-                             pacing=pacing)
+        self.params = transport_params(algo, **fields)
+        self.sender = Sender(0, total_bytes, (self.fwd,), self.engine,
+                             self.params)
         self.receiver = Receiver(0, (self.rev,), dctcp_echo=(algo == "dctcp"))
 
     def _deliver(self, now, pkt):

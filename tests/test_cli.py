@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from microburst.cli import main
-from microburst.config import config_from_dict, expand, read_yaml
+from microburst.config import (RunConfig, config_from_dict, effective_yaml,
+                               expand, read_yaml)
 from microburst.scenarios import build_schedule
 from microburst.sim import run_simulation, write_outputs
 
@@ -193,6 +194,12 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario:sync_fanin", "senders", [], "scenario.senders"),
     ("scenario:sync_fanin", "senders", "h1", "scenario.senders"),
     ("transport", "rto_min_ns", 0, "transport.rto_min_ns"),
+    ("scenario", "rng", 5, "scenario.rng"),
+    ("scenario", "link_rate_bps", 5, "scenario.link_rate_bps"),
+    ("scenario", "cdf", "abc", "scenario.cdf"),
+    ("scenario", "cdf_path", [1], "scenario.cdf_path"),
+    ("scenario", "load", "x", "scenario.load"),
+    ("scenario", "query_fraction", "x", "scenario.query_fraction"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):
@@ -264,6 +271,18 @@ def test_shipped_config_expands_into_scheduled_runs(path):
         flows, _ = build_schedule(cfg.scenario, random.Random(cfg.seed),
                                   cfg.link_rate_bps)
         assert flows
+
+
+def test_full_example_config_shows_every_default():
+    # its header says every section field is shown with its default
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "sync_fanin.yaml")
+    raw = read_yaml(path)
+    default = RunConfig(seed=raw["seed"], protocol=raw["protocol"],
+                        scenario=raw["scenario"])
+    shown = yaml.safe_load(effective_yaml(default))
+    for section in ("network", "switch", "transport", "telemetry", "metrics"):
+        assert raw[section] == shown[section], section
 
 
 def test_check_unknown_name_exits_two(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from microburst import scenarios
 from microburst.scenarios import (InvalidParam, build_schedule, cdf_mean,
                                   gen_async_fanin, gen_background_prev_hop,
                                   gen_background_same_hop, gen_incast,
@@ -191,6 +192,16 @@ def test_websearch_query_split():
     assert sizes[:10] == [100_000 // 11] * 10
     assert sizes[10] == 100_000 - 10 * (100_000 // 11)
     assert sum(sizes) == 100_000
+
+
+def test_integer_cdf_path_is_rejected_unopened(monkeypatch):
+    # open(0) would read standard input and then close it
+    monkeypatch.setattr(scenarios, "open", lambda *a: pytest.fail("opened"),
+                        raising=False)
+    with pytest.raises(InvalidParam, match=r"^scenario\.cdf_path: "):
+        build_schedule({"kind": "websearch", "load": 0.4,
+                        "duration_ns": 10_000_000, "cdf_path": 0},
+                       rng(), GBPS)
 
 
 def test_websearch_rejects_bad_load():

@@ -10,12 +10,15 @@ import pytest
 
 from microburst import sim
 from microburst.analysis import QueueTrace
-from microburst.config import RunConfig
+from microburst.config import PROTOCOLS, RunConfig
 from microburst.engine import Engine
+from microburst.marking import SlopeEcn, ThresholdEcn
 from microburst.netmodel import Port
 from microburst.packets import DATA
 from microburst.sim import AuditError, run_simulation, write_outputs
-from microburst.transport import Receiver, Sender
+from microburst.topology import HOSTS
+from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
+from microburst.units import GBPS
 
 MSS = 1500
 
@@ -390,3 +393,59 @@ def test_audit_names_counts_when_a_port_loses_a_data_packet(monkeypatch):
     assert counts, str(err.value)
     sent, received = map(int, counts.groups())
     assert sent == received + len(lost)
+
+
+K, R = 24_000, 10 * GBPS
+# (policy type, attributes) on every switch port; None: tail drop only
+SWITCH_POLICY = {
+    "TCP": None,
+    "ECN*": (ThresholdEcn, {"threshold_bytes": K}),
+    "DCTCP": (ThresholdEcn, {"threshold_bytes": K}),
+    "S-ECN": (SlopeEcn, {"rate_bps": R, "threshold_bytes": None}),
+    "SL-ECN": (SlopeEcn, {"rate_bps": R, "threshold_bytes": K}),
+    "DCTCP+SL-ECN": (SlopeEcn, {"rate_bps": R, "threshold_bytes": K}),
+}
+
+
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_protocol_sets_the_policy_of_every_switch_port(protocol):
+    cfg = RunConfig(seed=1, protocol=protocol, scenario={"kind": "incast"},
+                    link_rate_bps=R, ecn_threshold_bytes=K)
+    net = sim.Network(Engine(), cfg)
+    expected = SWITCH_POLICY[protocol]
+    switch_policies = []
+    for port_id, port in net.ports.items():
+        if port_id.split("->")[0] in HOSTS or expected is None:
+            assert port.policy is None, port_id
+            continue
+        kind, attrs = expected
+        assert type(port.policy) is kind, port_id
+        assert {a: getattr(port.policy, a) for a in attrs} == attrs, port_id
+        switch_policies.append(port.policy)
+    # each switch port keeps its own marking state
+    assert len(set(map(id, switch_policies))) == len(switch_policies)
+
+
+@pytest.mark.parametrize("protocol, algo, ecn", [("TCP", NEWRENO, False),
+                                                 ("DCTCP", DCTCP, True)])
+def test_every_transport_field_reaches_a_started_sender(monkeypatch, protocol,
+                                                       algo, ecn):
+    seen = []
+
+    class SeenSender(Sender):
+        def start(self, now):
+            p = self.params
+            seen.append((self.algo, self.ecn_capable, self.pacing, p.mss,
+                         p.dctcp_gain, self.cwnd, self.ssthresh, self.alpha,
+                         self.srtt, self.rto))
+            super().start(now)
+
+    monkeypatch.setattr(sim, "Sender", SeenSender)
+    run_simulation(RunConfig(
+        seed=1, protocol=protocol,
+        scenario={"kind": "incast", "n": 2, "response_bytes": 9_000},
+        mss_bytes=1000, initial_window_packets=2, max_cwnd_packets=40,
+        rto_min_ns=5_000_000, dctcp_gain=0.25, dctcp_alpha0=0.5,
+        pacing=True, initial_rtt_ns=80_000))
+    assert seen == [(algo, ecn, True, 1000, 0.25, 2000, 40_000, 0.5,
+                     80_000, 5_000_000)] * 2

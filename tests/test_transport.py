@@ -2,8 +2,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microburst.netmodel import Port
 from microburst.packets import ACK, Packet
-from microburst.transport import (DCTCP, NEWRENO, RTO_MAX_NS, Receiver,
-                                  Sender, TransportParams)
+from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, Receiver, Sender
 from microburst.units import GBPS
 
 MSS = 1500
@@ -164,8 +163,7 @@ def test_three_dupacks_trigger_fast_retransmit(one_link):
 
 
 def test_timeout_backoff_sequence(one_link):
-    params = TransportParams(rto_min_ns=10_000_000)
-    net = one_link(total_bytes=10_000_000, params=params)
+    net = one_link(total_bytes=10_000_000, rto_min_ns=10_000_000)
     s = net.sender
     s.start(0)
     assert s.rto == 10_000_000
@@ -254,8 +252,7 @@ def test_dctcp_receiver_exact_echo(one_link):
 
 
 def test_pacing_spacing_is_srtt_over_window(one_link):
-    params = TransportParams(initial_rtt_ns=100_000)
-    net = one_link(total_bytes=1_000_000, params=params, pacing=True)
+    net = one_link(total_bytes=1_000_000, initial_rtt_ns=100_000, pacing=True)
     s = net.sender
     stub = StubPort()
     s.route = (stub,)
