@@ -7,6 +7,7 @@ h11 and h12 absorb background flows, and the remaining hosts send.
 """
 
 import bisect
+import inspect
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -18,6 +19,7 @@ class InvalidParam(Exception):
     """A scenario parameter is out of its documented range."""
 
 
+_HOSTS = frozenset(HOSTS)    # for membership tests
 FANIN_RECEIVER = "h10"
 FANIN_SENDERS = [f"h{i}" for i in range(1, 10)]
 # rack-interleaved order so small sender counts still span several racks
@@ -29,6 +31,7 @@ LONG_FLOW_BYTES = 1_000_000_000   # finite stand-in for "unbounded"
 
 @dataclass(slots=True)
 class FlowSpec:
+    """One flow from schedule to result; the run fills in its outcome."""
     flow_id: int
     src: str
     dst: str
@@ -37,6 +40,13 @@ class FlowSpec:
     query_id: int = None
     burst: bool = True       # False for long-lived background flows;
                              # only burst flows carry phase annotations
+    end_ns: int = None       # None while incomplete
+    retransmits: int = 0
+    timeouts: int = 0
+    delivered_bytes: int = 0
+    first_ece_cut_ns: int = None
+    sent: int = 0            # data packets, retransmissions included
+    received: int = 0        # data packets, duplicates included
 
 
 @dataclass(slots=True)
@@ -50,7 +60,7 @@ def validate_schedule(flows):
     seen = set()
     last_start = 0
     for f in flows:
-        if f.src not in HOSTS or f.dst not in HOSTS:
+        if f.src not in _HOSTS or f.dst not in _HOSTS:
             raise InvalidParam(f"flow {f.flow_id}: {f.src} -> {f.dst} "
                                "is not between preset hosts h1..h12")
         if f.src == f.dst:
@@ -70,7 +80,7 @@ def validate_schedule(flows):
 
 def _check_hosts(name, hosts):
     for host in hosts:
-        if host not in HOSTS:
+        if not isinstance(host, str) or host not in _HOSTS:
             raise InvalidParam(f"scenario.{name}: no host {host!r} in the "
                                "preset; hosts are h1..h12")
 
@@ -268,6 +278,9 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
     responders = [h for h in HOSTS if h != master]
+    if query_bytes < len(responders):
+        raise InvalidParam(f"scenario.query_bytes: must be >= {len(responders)}"
+                           f" (one byte per responder), got {query_bytes!r}")
 
     target_bytes = load * (link_rate_bps / 8) * (duration_ns / NS_PER_S)
     query_rate = query_fraction * target_bytes / query_bytes / duration_ns
@@ -318,9 +331,8 @@ GENERATORS = {
     "websearch": gen_websearch,
     "long_flow_batches": gen_long_flow_batches,
 }
-
-_NEEDS_RNG = {"sync_fanin", "async_fanin", "websearch", "one_background",
-              "background_same_hop", "background_prev_hop"}
+_PARAMS = {kind: inspect.signature(gen).parameters   # what a scenario may set
+           for kind, gen in GENERATORS.items()}
 
 # every integer scenario field and its minimum, whichever generator takes it
 _INTS = {"n": 1, "fanin_count": 1, "background_count": 1, "batch": 1,
@@ -349,13 +361,16 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
                 or value < minimum):
             raise InvalidParam(f"scenario.{name}: must be an integer >= "
                                f"{minimum}, got {value!r}")
-    if kind in _NEEDS_RNG:
-        params["rng"] = rng
-    if kind == "websearch":
-        params["link_rate_bps"] = link_rate_bps
-        if "cdf_path" in params:
-            params["cdf"] = load_size_cdf(params.pop("cdf_path"))
-    try:
-        return gen(**params)
-    except TypeError as exc:
-        raise InvalidParam(f"scenario: bad parameters for {kind}: {exc}") from None
+    signature = _PARAMS[kind]
+    if "cdf" in signature and "cdf_path" in params:
+        params["cdf"] = load_size_cdf(params.pop("cdf_path"))
+    for name, value in (("rng", rng), ("link_rate_bps", link_rate_bps)):
+        if name in signature:
+            params[name] = value
+    for name in params:
+        if name not in signature:
+            raise InvalidParam(f"scenario.{name}: not a parameter of {kind}")
+    for name, param in signature.items():
+        if param.default is param.empty and name not in params:
+            raise InvalidParam(f"scenario.{name}: required by {kind}")
+    return gen(**params)

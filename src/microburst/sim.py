@@ -1,13 +1,13 @@
 """Assembles one run: preset links -> ports, schedule -> flow starts, then
-the event loop; audits the end state, builds the run totals, flow records
-and query completions from the ports and endpoints, and writes the CSV
-outputs.
+the event loop; audits the end state, builds the run totals and query
+completions from the flows and ports, and writes the CSV outputs.
 
-A flow's endpoints are built when it starts, and its sender is retired as
-soon as the flow completes: per-flow state scales with the flows in flight,
-not with the length of the schedule.  A finished flow leaves one compact
-outcome tuple behind; its receiver stays, since a retransmitted duplicate
-can still reach it and be acknowledged."""
+The schedule's flow objects are the run's flow records.  A flow's endpoints
+are built when it starts.  When it completes, its outcome is copied into the
+flow and its sender retired, and its receiver too once every data packet
+sent has arrived: per-flow state scales with the flows in flight, not with
+the length of the schedule.  After a loss the receiver stays, since a
+retransmitted duplicate can still reach it and be acknowledged."""
 
 import os
 import random
@@ -38,8 +38,8 @@ class Network:
     """Ports for every directed link of the preset, per-pair port routes,
     and the endpoints of the flows started so far.
 
-    ``senders`` holds only the flows still running; ``finished`` maps each
-    completed flow to its ``_outcome``."""
+    ``senders`` holds only the flows still running, and ``receivers`` and
+    ``flows`` only those whose receiver may still see a data packet."""
 
     def __init__(self, engine, cfg: RunConfig):
         self.engine = engine
@@ -64,8 +64,8 @@ class Network:
                                            buffer_limit, policy, engine,
                                            forward_ns, deliver_fn=self._deliver)
         self.senders = {}
-        self.finished = {}
         self.receivers = {}
+        self.flows = {}
 
     def route(self, src, dst):
         key = (src, dst)
@@ -88,18 +88,25 @@ class Network:
         if sender.done:
             # _complete cancelled its only timers, so once dropped here the
             # sender is freed
-            del self.senders[pkt.flow_id]
-            self.finished[pkt.flow_id] = _outcome(sender)
+            fid = pkt.flow_id
+            del self.senders[fid]
+            flow = self.flows[fid]
+            _settle_sender(flow, sender)
+            receiver = self.receivers[fid]
+            # every data packet sent has arrived, and no more will be sent
+            if receiver.received == sender.sent:
+                del self.receivers[fid], self.flows[fid]
+                _settle_receiver(flow, receiver)
 
 
-def _outcome(sender):
-    """What a flow's record and the run totals need of its sender."""
-    return (sender.end_ns, sender.retransmits, sender.timeouts,
-            sender.first_ece_cut_ns, sender.sent)
+def _settle_sender(flow, s):
+    (flow.end_ns, flow.retransmits, flow.timeouts, flow.first_ece_cut_ns,
+     flow.sent) = (s.end_ns, s.retransmits, s.timeouts, s.first_ece_cut_ns,
+                   s.sent)
 
 
-# the outcome of a flow that never started
-_NOT_STARTED = (None, 0, 0, None, 0)
+def _settle_receiver(flow, receiver):
+    flow.delivered_bytes, flow.received = receiver.cum_ack, receiver.received
 
 
 @dataclass
@@ -117,27 +124,12 @@ class RunSummary:
     packets_marked: int
 
 
-@dataclass(slots=True)
-class FlowRecord:
-    flow_id: int
-    src: str
-    dst: str
-    size_bytes: int
-    start_ns: int
-    end_ns: int          # None while incomplete
-    retransmits: int
-    timeouts: int
-    delivered_bytes: int
-    first_ece_cut_ns: int
-    query_id: int
-
-
 @dataclass
 class RunResult:
     cfg: RunConfig
     summary: RunSummary
     end_ns: int
-    flows: list
+    flows: list                        # the schedule's FlowSpecs, in order
     queries: list                      # (QuerySpec, end_ns or None)
     traces: dict                       # port_id -> PortTrace
     ports: dict                        # port_id -> counter snapshot
@@ -160,6 +152,7 @@ def _start_flow(now, arg):
     net.receivers[fid] = Receiver(fid, net.route(spec.dst, spec.src),
                                   dctcp_echo=(params.algo == DCTCP))
     net.senders[fid] = sender
+    net.flows[fid] = spec
     sender.start(now)
 
 
@@ -189,12 +182,11 @@ def _audit(net, engine, flows, summary):
             raise AuditError(
                 f"port {port_id}: bytes_in {port.bytes_in} != bytes_out "
                 f"{port.bytes_out} + queue_bytes {port.queue_bytes}")
-    for spec in flows:
-        receiver = net.receivers.get(spec.flow_id)
-        if receiver is not None and receiver.cum_ack > spec.size_bytes:
+    for flow in flows:
+        if flow.delivered_bytes > flow.size_bytes:
             raise AuditError(
-                f"flow {spec.flow_id}: delivered_bytes {receiver.cum_ack} > "
-                f"size_bytes {spec.size_bytes}")
+                f"flow {flow.flow_id}: delivered_bytes {flow.delivered_bytes} "
+                f"> size_bytes {flow.size_bytes}")
     sent, received = summary.packets_sent, summary.packets_delivered
     dropped = sum(port.data_drops for port in net.ports.values())
     queued, held = _data_in_flight(net, engine)
@@ -228,38 +220,30 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         engine.run_until(1 << 62)   # drains the event set
         end_ns = engine.last_dispatch_ns
 
-    outcomes = net.finished
-    for fid, sender in net.senders.items():
-        outcomes[fid] = _outcome(sender)
-    receivers = net.receivers
+    # flows still running, and finished ones whose receiver was kept
+    for fid, flow in net.flows.items():
+        sender = net.senders.get(fid)
+        if sender is not None:
+            _settle_sender(flow, sender)
+        _settle_receiver(flow, net.receivers[fid])
     ports = net.ports.values()
     summary = RunSummary(
         events_dispatched=engine.events_dispatched,
-        packets_sent=sum(o[4] for o in outcomes.values()),
-        packets_delivered=sum(r.received for r in receivers.values()),
+        packets_sent=sum(f.sent for f in flows),
+        packets_delivered=sum(f.received for f in flows),
         packets_dropped=sum(p.drops for p in ports),
         packets_marked=sum(p.marks for p in ports))
     _audit(net, engine, flows, summary)
 
-    records = []
-    for spec in flows:
-        fid = spec.flow_id
-        end, retransmits, timeouts, first_ece_cut, _ = outcomes.get(
-            fid, _NOT_STARTED)
-        receiver = receivers.get(fid)
-        records.append(FlowRecord(
-            flow_id=fid, src=spec.src, dst=spec.dst,
-            size_bytes=spec.size_bytes, start_ns=spec.start_ns,
-            end_ns=end, retransmits=retransmits, timeouts=timeouts,
-            delivered_bytes=0 if receiver is None else receiver.cum_ack,
-            first_ece_cut_ns=first_ece_cut, query_id=spec.query_id))
-    first_ece = min((r.first_ece_cut_ns for r in records
-                     if r.first_ece_cut_ns is not None), default=None)
+    first_ece = min((f.first_ece_cut_ns for f in flows
+                     if f.first_ece_cut_ns is not None), default=None)
     # a query ends when its last flow does, and not while any is unfinished
-    query_ends = []
-    for q in queries:
-        ends = [outcomes.get(fid, _NOT_STARTED)[0] for fid in q.flow_ids]
-        query_ends.append((q, None if None in ends else max(ends)))
+    query_end = dict.fromkeys((q.query_id for q in queries), 0)
+    for f in flows:
+        qid, end = f.query_id, f.end_ns
+        if query_end.get(qid) is not None:
+            query_end[qid] = None if end is None else max(query_end[qid], end)
+    query_ends = [(q, query_end[q.query_id]) for q in queries]
 
     # ports and endpoints reference each other, so the finished network is
     # freed only by the cycle collector; the result alone keeps the traces
@@ -274,7 +258,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                   for pid, p in net.ports.items()}
 
     return RunResult(cfg=cfg, summary=summary, end_ns=end_ns,
-                     flows=records, queries=query_ends,
+                     flows=flows, queries=query_ends,
                      traces=traces, ports=port_stats,
                      first_ece_cut_ns=first_ece)
 

@@ -1,5 +1,5 @@
-"""Shared test harness: a minimal one-link network for transport tests,
-and the hypothesis profile every test runs under."""
+"""Shared test harness: a minimal one-link network for transport tests, a
+drop-injecting port, and the hypothesis profile every test runs under."""
 
 import pytest
 from hypothesis import settings
@@ -57,6 +57,32 @@ class OneLink:
 @pytest.fixture
 def one_link():
     return OneLink
+
+
+class LossyPort(Port):
+    """A port that drops its arrivals whose 1-based index is in ``drop_at``,
+    counting each drop as a full buffer's is counted."""
+
+    __slots__ = ("drop_at", "arrivals")
+
+    def __init__(self, engine, deliver_fn, drop_at):
+        super().__init__("lossy", 1_000_000_000, None, None, engine,
+                         deliver_fn=deliver_fn)
+        self.drop_at = drop_at
+        self.arrivals = 0
+
+    def enqueue(self, pkt, now):
+        self.arrivals += 1
+        if self.arrivals in self.drop_at:
+            self.drops += 1
+            self.data_drops += pkt.kind == DATA
+        else:
+            super().enqueue(pkt, now)
+
+
+@pytest.fixture
+def lossy_port():
+    return LossyPort
 
 
 @pytest.fixture

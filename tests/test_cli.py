@@ -200,6 +200,7 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario", "cdf_path", [1], "scenario.cdf_path"),
     ("scenario", "load", "x", "scenario.load"),
     ("scenario", "query_fraction", "x", "scenario.query_fraction"),
+    ("scenario", "query_bytes", 5, "scenario.query_bytes"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):

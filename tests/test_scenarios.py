@@ -266,3 +266,32 @@ def test_build_schedule_unknown_kind():
 def test_build_schedule_bad_param_names_scenario():
     with pytest.raises(InvalidParam):
         build_schedule({"kind": "sync_fanin", "bogus": 3}, rng(), GBPS)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"kind": "incast", "n": 4, "foo": 1}, "foo: not a parameter of incast"),
+    ({"kind": "incast", "n": 4, "cdf_path": "sizes.cdf"},
+     "cdf_path: not a parameter of incast"),
+    ({"kind": "long_flow_batches", "n": 4}, "n: not a parameter of "
+     "long_flow_batches"),
+], ids=["unknown", "websearch_only", "other_kind"])
+def test_build_schedule_names_a_key_the_kind_does_not_take(scenario, message):
+    with pytest.raises(InvalidParam, match=f"^scenario\\.{message}$"):
+        build_schedule(scenario, rng(), GBPS)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"kind": "sync_fanin"}, "n: required by sync_fanin"),
+    ({"kind": "websearch", "load": 0.4}, "duration_ns: required by websearch"),
+], ids=["sync_fanin", "websearch"])
+def test_build_schedule_names_a_missing_required_key(scenario, message):
+    with pytest.raises(InvalidParam, match=f"^scenario\\.{message}$"):
+        build_schedule(scenario, rng(), GBPS)
+
+
+@pytest.mark.parametrize("key", ["receiver", "senders"])
+def test_unhashable_host_is_named(key):
+    value = [1] if key == "receiver" else [[1]]
+    with pytest.raises(InvalidParam, match=f"^scenario\\.{key}: no host "
+                       r"\[1\] in the preset"):
+        build_schedule({"kind": "sync_fanin", "n": 2, key: value}, rng(), GBPS)

@@ -14,7 +14,7 @@ from microburst.config import PROTOCOLS, RunConfig
 from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
 from microburst.netmodel import Port
-from microburst.packets import DATA
+from microburst.packets import ACK, DATA, Packet
 from microburst.sim import AuditError, run_simulation, write_outputs
 from microburst.topology import HOSTS
 from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
@@ -331,6 +331,90 @@ def test_cut_run_records_every_flow_started_or_not(monkeypatch):
         assert (f.end_ns, f.retransmits, f.timeouts, f.first_ece_cut_ns) == \
                (s.end_ns, s.retransmits, s.timeouts, s.first_ece_cut_ns)
     assert res.summary.packets_sent == sum(s.sent for s in senders)
+
+
+@pytest.fixture
+def networks(monkeypatch):
+    """Every Network the runs build, kept for a look after the run."""
+    built = []
+
+    class KeptNetwork(sim.Network):
+        def __init__(self, engine, cfg):
+            super().__init__(engine, cfg)
+            built.append(self)
+
+    monkeypatch.setattr(sim, "Network", KeptNetwork)
+    return built
+
+
+def test_drop_free_run_keeps_no_receiver_and_returns_the_schedule(
+        networks, monkeypatch):
+    schedules = []
+    build_schedule = sim.build_schedule
+
+    def recording_build_schedule(*args):
+        schedules.append(build_schedule(*args))
+        return schedules[-1]
+
+    monkeypatch.setattr(sim, "build_schedule", recording_build_schedule)
+    res = run_simulation(RunConfig(
+        seed=1, protocol="DCTCP", buffer_bytes=128_000, telemetry_mode="off",
+        scenario={"kind": "incast", "n": 8, "response_bytes": 64_000}))
+    assert res.summary.packets_dropped == 0
+    (net,), ((flows, _),) = networks, schedules
+    assert net.senders == net.receivers == net.flows == {}
+    assert len(res.flows) == len(flows) == 8
+    assert all(kept is scheduled for kept, scheduled in zip(res.flows, flows))
+    for f in res.flows:
+        assert f.end_ns is not None and f.delivered_bytes == f.size_bytes
+        assert f.received == f.sent > 0
+
+
+def test_cut_run_keeps_a_receiver_only_while_a_packet_may_reach_it(networks):
+    res = run_simulation(CUT_WEBSEARCH)
+    net, = networks
+    running = set(net.senders)
+    lossy = {f.flow_id for f in res.flows
+             if f.end_ns is not None and f.received < f.sent}
+    assert running and lossy
+    assert set(net.receivers) == set(net.flows) == running | lossy
+    for f in res.flows:
+        assert net.flows.get(f.flow_id, f) is f
+
+
+def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
+        monkeypatch, lossy_port):
+    # h1's NIC drops its fifth arrival, a data packet of flow 0; flow 1,
+    # from h2, loses nothing
+    nets = []
+
+    class LossyNetwork(sim.Network):
+        def __init__(self, engine, cfg):
+            super().__init__(engine, cfg)
+            self.ports["h1->t1"] = lossy_port(engine, self._deliver, {5})
+            nets.append(self)
+
+    monkeypatch.setattr(sim, "Network", LossyNetwork)
+    res = run_simulation(RunConfig(   # both audits pass
+        seed=1, protocol="TCP", telemetry_mode="off",
+        scenario={"kind": "sync_fanin", "n": 2, "response_bytes": 30_000}))
+    lost, clean = res.flows
+    assert (lost.retransmits, lost.received) == (1, lost.sent - 1)
+    assert (clean.retransmits, clean.received) == (0, clean.sent)
+    assert res.summary.packets_sent == (res.summary.packets_delivered
+                                        + res.ports["h1->t1"]["data_drops"])
+    net, = nets
+    assert net.senders == {} and set(net.receivers) == set(net.flows) == {0}
+    # a retransmitted copy of the first segment arrives after the flow ended:
+    # the kept receiver acknowledges it, and the late ACK is ignored
+    receiver = net.receivers[0]
+    ack_port = receiver.route[0]
+    now = net.engine.now
+    net._deliver(now, Packet(0, DATA, MSS, net.route("h1", "h10"), 0, MSS))
+    assert receiver.received == lost.received + 1
+    assert [(p.kind, p.ack_no) for p in ack_port.queue] == [(ACK, 30_000)]
+    net.engine.run_until(now + 1_000_000)
+    assert not ack_port.queue and ack_port.conservation_ok()
 
 
 # the golden case whose forwarding and final delivery are scheduled events

@@ -1,9 +1,7 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from microburst.netmodel import Port
 from microburst.packets import ACK, Packet
 from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, Receiver, Sender
-from microburst.units import GBPS
 
 MSS = 1500
 
@@ -271,33 +269,14 @@ def test_unpaced_initial_window_is_back_to_back(one_link):
 
 # -- adversarial loss ----------------------------------------------------------
 
-class LossyPort(Port):
-    """A port that drops its arrivals whose 1-based index is in ``drop_at``."""
-
-    __slots__ = ("drop_at", "arrivals", "dropped")
-
-    def __init__(self, engine, deliver_fn, drop_at):
-        super().__init__("lossy", GBPS, None, None, engine,
-                         deliver_fn=deliver_fn)
-        self.drop_at = drop_at
-        self.arrivals = 0
-        self.dropped = 0
-
-    def enqueue(self, pkt, now):
-        self.arrivals += 1
-        if self.arrivals in self.drop_at:
-            self.dropped += 1
-        else:
-            super().enqueue(pkt, now)
-
-
 _LOSSES = st.sets(st.integers(1, 120), max_size=25)
 
 
-def lossy(net, deliver, data_drops, ack_drops):
-    """Route the one-link flow over two LossyPorts delivering to ``deliver``."""
-    fwd = LossyPort(net.engine, deliver, data_drops)
-    rev = LossyPort(net.engine, deliver, ack_drops)
+def lossy(lossy_port, net, deliver, data_drops, ack_drops):
+    """Route the one-link flow over two lossy ports delivering to
+    ``deliver``."""
+    fwd = lossy_port(net.engine, deliver, data_drops)
+    rev = lossy_port(net.engine, deliver, ack_drops)
     net.sender.route, net.receiver.route = (fwd,), (rev,)
     return fwd
 
@@ -306,7 +285,7 @@ def lossy(net, deliver, data_drops, ack_drops):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(algo=st.sampled_from([NEWRENO, DCTCP]),
        segments=st.integers(1, 60), data_drops=_LOSSES, ack_drops=_LOSSES)
-def test_flow_survives_adversarial_drops(one_link, algo, segments,
+def test_flow_survives_adversarial_drops(one_link, lossy_port, algo, segments,
                                          data_drops, ack_drops):
     net = one_link(algo=algo, total_bytes=segments * MSS)
     s, r = net.sender, net.receiver
@@ -317,14 +296,14 @@ def test_flow_survives_adversarial_drops(one_link, algo, segments,
         net._deliver(now, pkt)
         seen.append((r.cum_ack, s.highest_acked, s.rto))
 
-    fwd = lossy(net, deliver, data_drops, ack_drops)
+    fwd = lossy(lossy_port, net, deliver, data_drops, ack_drops)
     s.start(0)
     net.run(1 << 62)
     assert s.done and r.cum_ack == s.total
     for (c0, h0, _), (c1, h1, _) in zip(seen, seen[1:]):
         assert c1 >= c0 and h1 >= h0
     assert max(rto for _, _, rto in seen) <= RTO_MAX_NS
-    assert s.sent == r.received + fwd.dropped
+    assert s.sent == r.received + fwd.data_drops
 
 
 def pending_timers(engine, sender):
@@ -338,9 +317,9 @@ def pending_timers(engine, sender):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(algo=st.sampled_from([NEWRENO, DCTCP]), pacing=st.booleans(),
        segments=st.integers(1, 60), data_drops=_LOSSES, ack_drops=_LOSSES)
-def test_sender_holds_at_most_one_timer_of_each_kind(one_link, algo, pacing,
-                                                     segments, data_drops,
-                                                     ack_drops):
+def test_sender_holds_at_most_one_timer_of_each_kind(one_link, lossy_port,
+                                                     algo, pacing, segments,
+                                                     data_drops, ack_drops):
     # a timeout must not leave a second retransmission timer behind, and a
     # finished sender must hold none, so nothing keeps it alive
     net = one_link(algo=algo, total_bytes=segments * MSS, pacing=pacing)
@@ -351,7 +330,7 @@ def test_sender_holds_at_most_one_timer_of_each_kind(one_link, algo, pacing,
         net._deliver(now, pkt)
         seen.append((s.done, pending_timers(net.engine, s)))
 
-    lossy(net, deliver, data_drops, ack_drops)
+    lossy(lossy_port, net, deliver, data_drops, ack_drops)
     s.start(0)
     net.run(1 << 62)
     assert s.done
