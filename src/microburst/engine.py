@@ -5,13 +5,6 @@ a global insertion counter, so simultaneous events dispatch in the order
 they were scheduled.  Identical (config, seed) therefore replays the exact
 same event sequence.
 
-A run schedules most of its events up front (every flow start) and few
-while it runs (one per packet hop, about a hundred in flight at a time).
-``run_until`` therefore moves the events already pending into a sorted
-backlog, and keeps only the events scheduled while it runs in the heap,
-so each packet hop pays for a shallow heap rather than one holding every
-future flow start.
-
 The engine counts only what it does itself, ``events_dispatched``; run
 totals are built from the ports and endpoints after the loop.
 """
@@ -31,20 +24,10 @@ class Engine:
     skips dead entries, so cancel is O(1).  The loop also nulls the
     callback of every entry it dispatches, so cancelling a fired event is a
     no-op.
-
-    ``schedule`` always pushes onto ``_heap``.  On entry, ``run_until``
-    sorts everything pending (the heap and what is left of the backlog)
-    into ``_backlog``, latest first so the next entry pops off the end,
-    and empties the heap.  The loop then merges the two, popping the heap
-    only while its head is strictly earlier than the backlog's next entry.
-    Every backlog entry was scheduled before every heap entry, so on a tie
-    the backlog holds the lower sequence number, and the merge dispatches
-    in exactly (time, seq) order.
     """
 
     def __init__(self):
         self._heap = []
-        self._backlog = []      # sorted descending: the next entry is last
         self._seq = 0
         self.now = 0
         self.last_dispatch_ns = 0
@@ -71,32 +54,16 @@ class Engine:
 
     def pending(self) -> list:
         """``(fn, arg)`` of every event still due, in no particular order."""
-        return [(entry[2], entry[3]) for entry in self._heap + self._backlog
+        return [(entry[2], entry[3]) for entry in self._heap
                 if entry[2] is not None]
 
     def run_until(self, t_end_ns: int) -> None:
         """Dispatch every event with fire_time <= t_end_ns."""
         heap = self._heap
-        backlog = self._backlog
-        if heap:
-            backlog += heap
-            backlog.sort(reverse=True)
-            heap.clear()
         heappop = heapq.heappop
-        # the heap head fires first iff it is <= bound; past the last
-        # backlog entry, nxt = t_end_ns + 1 makes bound the horizon
-        nxt = backlog[-1][0] if backlog else t_end_ns + 1
-        bound = min(nxt - 1, t_end_ns)
         n = 0
-        while True:
-            if heap and heap[0][0] <= bound:
-                entry = heappop(heap)
-            elif nxt <= t_end_ns:
-                entry = backlog.pop()
-                nxt = backlog[-1][0] if backlog else t_end_ns + 1
-                bound = min(nxt - 1, t_end_ns)
-            else:
-                break
+        while heap and heap[0][0] <= t_end_ns:
+            entry = heappop(heap)
             t, _, fn, arg = entry
             if fn is None:
                 continue

@@ -1,9 +1,11 @@
-"""Assembles one run: preset links -> ports, schedule -> flow starts, then
-the event loop; audits the end state, builds the run totals and query
-completions from the flows and ports, and writes the CSV outputs.
+"""Assembles one run: preset links -> ports, then the event loop, which
+starts each flow of the sorted schedule when its time comes; audits the end
+state, builds the run totals and query completions from the flows and
+ports, and writes the CSV outputs.
 
-The schedule's flow objects are the run's flow records.  A flow's endpoints
-are built when it starts.  When it completes, its outcome is copied into the
+The schedule's flow objects are the run's flow records.  A flow waits in
+the schedule, not in the engine, until it starts, and its endpoints are
+built then.  When it completes, its outcome is copied into the
 flow and its sender retired, and its receiver too once every data packet
 sent has arrived: per-flow state scales with the flows in flight, not with
 the length of the schedule.  After a loss the receiver stays, since a
@@ -156,6 +158,25 @@ def _start_flow(now, arg):
     sender.start(now)
 
 
+def _run_loop(engine, starts, horizon):
+    """Run the engine to ``horizon``, calling ``fn(t, arg)`` for each
+    ``(t, fn, arg)`` of ``starts``, sorted by ``t``, that is due by then;
+    returns how many were called.
+
+    Each call comes after every event due before ``t`` and before every
+    event due at ``t``, as if it had been scheduled before the loop: the
+    engine holds only the events scheduled while the run goes on."""
+    called = 0
+    for t, fn, arg in starts:
+        if t > horizon:
+            break
+        engine.run_until(t - 1)
+        fn(t, arg)
+        called += 1
+    engine.run_until(horizon)
+    return called
+
+
 class AuditError(Exception):
     """An end-of-run invariant does not hold; the message names where."""
 
@@ -210,15 +231,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             traces[port_id] = net.ports[port_id].trace = PortTrace(
                 port_id, fidelity=(cfg.telemetry_mode == "fidelity"))
 
-    for spec in flows:
-        engine.schedule(spec.start_ns, _start_flow, (net, spec))
-
     if cfg.duration_ns:
-        engine.run_until(cfg.duration_ns + cfg.drain_grace_ns)
-        end_ns = engine.now
+        horizon = cfg.duration_ns + cfg.drain_grace_ns
     else:
-        engine.run_until(1 << 62)   # drains the event set
-        end_ns = engine.last_dispatch_ns
+        horizon = 1 << 62   # drains the event set
+    started = _run_loop(engine, ((spec.start_ns, _start_flow, (net, spec))
+                                 for spec in flows), horizon)
+    end_ns = engine.now if cfg.duration_ns else engine.last_dispatch_ns
 
     # flows still running, and finished ones whose receiver was kept
     for fid, flow in net.flows.items():
@@ -228,7 +247,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         _settle_receiver(flow, net.receivers[fid])
     ports = net.ports.values()
     summary = RunSummary(
-        events_dispatched=engine.events_dispatched,
+        events_dispatched=engine.events_dispatched + started,
         packets_sent=sum(f.sent for f in flows),
         packets_delivered=sum(f.received for f in flows),
         packets_dropped=sum(p.drops for p in ports),

@@ -1,8 +1,7 @@
-import heapq
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microburst import sim
 from microburst.engine import Engine, SchedulingInPast
 
 
@@ -130,78 +129,56 @@ def test_event_scheduled_between_run_until_calls():
     assert eng.events_dispatched == 4
 
 
-class HeapOnlyEngine(Engine):
-    """Reference: every pending event in one heap, popped in (time, seq)
-    order."""
-
-    def run_until(self, t_end_ns):
-        heap = self._heap
-        n = 0
-        while heap and heap[0][0] <= t_end_ns:
-            entry = heapq.heappop(heap)
-            t, _, fn, arg = entry
-            if fn is None:
-                continue
-            entry[2] = None
-            self.now = t
-            n += 1
-            fn(t, arg)
-        self.events_dispatched += n
-        self.last_dispatch_ns = self.now
-        if t_end_ns > self.now:
-            self.now = t_end_ns
-
-
-# ("schedule", delay from now) or ("cancel", index into the handles made)
+# ("schedule", delay from the firing) or ("cancel", index into the handles
+# of the events scheduled so far)
 _ACTION = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 40)),
                     st.tuples(st.just("cancel"), st.integers(0, 1000)))
 
 _PROGRAM = st.fixed_dictionaries({
-    "pre_run": st.lists(st.integers(0, 100), max_size=30),
-    # the actions the event labelled k performs when it fires
+    "starts": st.lists(st.integers(0, 100), max_size=30),
+    # the actions the start or event labelled k performs when it fires:
+    # starts take the first labels, in time order
     "reactions": st.lists(st.lists(_ACTION, max_size=3), max_size=80),
-    # (horizon increment, actions taken after that run_until returns)
-    "steps": st.lists(st.tuples(st.integers(0, 60),
-                                st.lists(_ACTION, max_size=4)),
-                      min_size=1, max_size=5),
+    "horizon": st.one_of(st.integers(0, 150), st.just(1 << 40)),
 })
 
 
-def _replay(engine_cls, program):
-    """Run one program; returns its log of dispatches and cancel results."""
-    eng = engine_cls()
+def _replay(program, run):
+    """Run one program, handing its starts to ``run(engine, starts,
+    horizon)``; returns its log of dispatches and cancel results, and the
+    dispatch count with the starts called."""
+    eng = Engine()
+    starts = sorted(program["starts"])
     handles = []
     log = []
 
-    def act(action):
-        kind, value = action
-        if kind == "schedule":
-            label = len(handles)
-            handles.append(eng.schedule(eng.now + value, fire, label))
-        elif handles:
-            index = value % len(handles)
-            log.append(("cancel", index, eng.cancel(handles[index])))
-
     def fire(t, label):
         log.append(("fire", t, label))
-        if label < len(program["reactions"]):
-            for action in program["reactions"][label]:
-                act(action)
+        if label >= len(program["reactions"]):
+            return
+        for kind, value in program["reactions"][label]:
+            if kind == "schedule":
+                child = len(starts) + len(handles)
+                handles.append(eng.schedule(t + value, fire, child))
+            elif handles:
+                index = value % len(handles)
+                log.append(("cancel", index, eng.cancel(handles[index])))
 
-    for t in program["pre_run"]:
-        handles.append(eng.schedule(t, fire, len(handles)))
-    horizon = 0
-    for increment, actions in program["steps"]:
-        horizon += increment
-        eng.run_until(horizon)
-        log.append(("now", eng.now, eng.last_dispatch_ns))
-        for action in actions:
-            act(action)
-    eng.run_until(1 << 40)
-    return log, eng.events_dispatched
+    called = run(eng, [(t, fire, label) for label, t in enumerate(starts)],
+                 program["horizon"])
+    return log, eng.now, eng.events_dispatched + called
+
+
+def _scheduled_up_front(engine, starts, horizon):
+    """Reference: every start an event scheduled before one run_until."""
+    for t, fn, arg in starts:
+        engine.schedule(t, fn, arg)
+    engine.run_until(horizon)
+    return 0
 
 
 @settings(max_examples=200)
 @given(_PROGRAM)
-def test_backlog_merge_matches_heap_only_engine(program):
-    assert _replay(Engine, program) == _replay(HeapOnlyEngine, program)
+def test_start_loop_matches_starts_scheduled_up_front(program):
+    assert (_replay(program, sim._run_loop)
+            == _replay(program, _scheduled_up_front))

@@ -15,6 +15,7 @@ from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
 from microburst.netmodel import Port
 from microburst.packets import ACK, DATA, Packet
+from microburst.scenarios import FlowSpec
 from microburst.sim import AuditError, run_simulation, write_outputs
 from microburst.topology import HOSTS
 from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
@@ -94,7 +95,8 @@ def test_audit_names_flow_delivered_past_its_size(monkeypatch):
 
     def overcounting_run_until(self, t_end_ns):
         run_until(self, t_end_ns)
-        receivers[2].cum_ack += 1_000_000
+        if t_end_ns == 6_000_000:   # the horizon: the loop's last call
+            receivers[2].cum_ack += 1_000_000
 
     monkeypatch.setattr(Receiver, "__init__", recording_init)
     monkeypatch.setattr(Engine, "run_until", overcounting_run_until)
@@ -291,7 +293,8 @@ def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
 
     def observed_run_until(self, t_end_ns):
         run_until(self, t_end_ns)
-        live.update(fid for fid, ref in refs.items() if ref() is not None)
+        if t_end_ns == CUT_WEBSEARCH.duration_ns:   # the loop's last call
+            live.update(fid for fid, ref in refs.items() if ref() is not None)
 
     monkeypatch.setattr(sim, "Sender", TrackedSender)
     monkeypatch.setattr(Engine, "run_until", observed_run_until)
@@ -415,6 +418,31 @@ def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
     assert [(p.kind, p.ack_no) for p in ack_port.queue] == [(ACK, 30_000)]
     net.engine.run_until(now + 1_000_000)
     assert not ack_port.queue and ack_port.conservation_ok()
+
+
+def test_flow_starts_at_the_horizon_but_not_one_ns_later(networks,
+                                                        monkeypatch):
+    cfg = RunConfig(seed=1, protocol="TCP", duration_ns=1_000_000,
+                    drain_grace_ns=500_000, telemetry_mode="off",
+                    scenario={"kind": "sync_fanin", "n": 1})
+    horizon = cfg.duration_ns + cfg.drain_grace_ns
+
+    def run(*starts):
+        flows = [FlowSpec(fid, src, "h10", 15_000, start_ns)
+                 for fid, (src, start_ns) in enumerate(starts)]
+        monkeypatch.setattr(sim, "build_schedule", lambda *args: (flows, []))
+        return run_simulation(cfg)
+
+    alone = run(("h1", 0))
+    res = run(("h1", 0), ("h2", horizon), ("h3", horizon + 1))
+    net = networks[-1]
+    _, at, after = res.flows
+    # the start is the one event the flow at the horizon adds: its first
+    # packets leave after the horizon
+    assert at.flow_id in net.senders and at.sent > 0
+    assert res.summary.events_dispatched == alone.summary.events_dispatched + 1
+    assert after.flow_id not in net.senders
+    assert (after.end_ns, after.sent) == (None, 0)
 
 
 # the golden case whose forwarding and final delivery are scheduled events
