@@ -141,6 +141,10 @@ class RunConfig:
                     or not isinstance(values, list) or not values):
                 raise ConfigError("sweep", "needs a dotted 'param' name and "
                                   "a non-empty list of 'values'")
+            if len({str(value) for value in values}) < len(values):
+                raise ConfigError("sweep.values", f"each value names an output "
+                                  f"subdirectory, so no two may read alike; "
+                                  f"got {values!r}")
         return self
 
     def host_algorithm(self):

@@ -145,6 +145,8 @@ WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
 SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
              "async_fanin": {"kind": "async_fanin", "n": 4},
              "incast": {"kind": "incast", "n": 4, "mode": "fixed_total"}}
+# base of each other section a case needs more than its one key in
+BASES = {"sweep": {"param": "scenario.n"}}
 BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
             "one_column.cdf": "1000\n", "decreasing.cdf": "1000 0.5\n900 1.0\n",
             "short.cdf": "1000 0.5\n", "zero_size.cdf": "0 1.0\n",
@@ -201,6 +203,7 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario", "load", "x", "scenario.load"),
     ("scenario", "query_fraction", "x", "scenario.query_fraction"),
     ("scenario", "query_bytes", 5, "scenario.query_bytes"),
+    ("sweep", "values", [4, 4], "sweep.values"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):
@@ -214,7 +217,7 @@ def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
         raw["scenario"] = dict(SCENARIOS.get(kind, {"kind": kind}),
                                **{key: value})
     else:
-        raw[section] = {key: value}
+        raw[section] = dict(BASES.get(section, {}), **{key: value})
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 2
