@@ -145,7 +145,7 @@ WEBSEARCH = {"kind": "websearch", "load": 0.4, "duration_ns": 10_000_000}
 SCENARIOS = {"websearch": WEBSEARCH, "sync_fanin": GOOD_CONFIG["scenario"],
              "async_fanin": {"kind": "async_fanin", "n": 4},
              "incast": {"kind": "incast", "n": 4, "mode": "fixed_total"}}
-# base of each other section a case needs more than its one key in
+# what a case in another section needs besides the key under test
 BASES = {"sweep": {"param": "scenario.n"}}
 BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
             "one_column.cdf": "1000\n", "decreasing.cdf": "1000 0.5\n900 1.0\n",

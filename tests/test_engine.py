@@ -145,8 +145,8 @@ _PROGRAM = st.fixed_dictionaries({
 
 def _replay(program, run):
     """Run one program, handing its starts to ``run(engine, starts,
-    horizon)``; returns its log of dispatches and cancel results, and the
-    dispatch count with the starts called."""
+    horizon)``; returns its log of dispatches and cancel results, the
+    engine's final time and the dispatch count with the starts called."""
     eng = Engine()
     starts = sorted(program["starts"])
     handles = []
