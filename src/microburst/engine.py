@@ -71,7 +71,8 @@ class Engine:
             self.now = t
             n += 1
             fn(t, arg)
-        self.events_dispatched += n
-        self.last_dispatch_ns = self.now
+        if n:
+            self.events_dispatched += n
+            self.last_dispatch_ns = self.now
         if t_end_ns > self.now:
             self.now = t_end_ns

@@ -8,7 +8,7 @@ h11 and h12 absorb background flows, and the remaining hosts send.
 
 import bisect
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .topology import HOSTS
@@ -53,7 +53,6 @@ class FlowSpec:
 class QuerySpec:
     query_id: int
     issue_ns: int
-    flow_ids: list = field(default_factory=list)
 
 
 def validate_schedule(flows):
@@ -117,6 +116,10 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
                            f"preset hosts h1..h12, got {senders!r}")
     _check_hosts("receiver", [receiver])
     _check_hosts("senders", senders)
+    used = senders[:n]   # the burst takes senders[i % len(senders)], i < n
+    if receiver in used:
+        raise InvalidParam(f"scenario.receiver: {receiver} is one of the "
+                           f"senders the burst uses, {used}")
     return _sorted(_burst(0, n, senders, receiver, response_bytes, start_ns,
                           jitter_ns, rng)), []
 
@@ -184,8 +187,7 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
     flows = [FlowSpec(i, FANIN_SENDERS[i % len(FANIN_SENDERS)], FANIN_RECEIVER,
                       sizes[i], start_ns, query_id=0)
              for i in range(n)]
-    query = QuerySpec(0, start_ns, [f.flow_id for f in flows])
-    return _sorted(flows), [query]
+    return _sorted(flows), [QuerySpec(0, start_ns)]
 
 
 # -- long-flow utilization ---------------------------------------------------
@@ -303,7 +305,6 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
             size = per_slave + (remainder if j == 0 else 0)
             flows.append(FlowSpec(fid, slave, master, size, issue,
                                   query_id=q.query_id))
-            q.flow_ids.append(fid)
             fid += 1
         queries.append(q)
 

@@ -4,12 +4,14 @@ state, builds the run totals and query completions from the flows and
 ports, and writes the CSV outputs.
 
 The schedule's flow objects are the run's flow records.  A flow waits in
-the schedule, not in the engine, until it starts, and its endpoints are
-built then.  When it completes, its outcome is copied into the
-flow and its sender retired, and its receiver too once every data packet
-sent has arrived: per-flow state scales with the flows in flight, not with
-the length of the schedule.  After a loss the receiver stays, since a
-retransmitted duplicate can still reach it and be acknowledged."""
+the schedule, not in the engine, until it starts; its endpoints are built
+then, from the flow and the run's config, and hold the flow, so its outcome
+is written straight into it.  When it completes, its sender is retired, and
+its receiver too once every data packet sent has arrived, each leaving its
+counts in the flow: per-flow state scales with the flows in flight, not
+with the length of the schedule.  After a loss the receiver stays, since a
+retransmitted duplicate can still reach it and be acknowledged; the counts
+of the endpoints still live are copied into their flows after the loop."""
 
 import os
 import random
@@ -22,7 +24,7 @@ from .netmodel import Port, PortTrace
 from .packets import DATA, Packet
 from .scenarios import build_schedule
 from .topology import HOSTS, LINKS, ROOT, path
-from .transport import Sender, Receiver, TransportParams, DCTCP
+from .transport import Sender, Receiver, DCTCP
 
 
 def _make_policy(cfg: RunConfig):
@@ -40,12 +42,12 @@ class Network:
     """Ports for every directed link of the preset, per-pair port routes,
     and the endpoints of the flows started so far.
 
-    ``senders`` holds only the flows still running, and ``receivers`` and
-    ``flows`` only those whose receiver may still see a data packet."""
+    ``senders`` holds only the flows still running, and ``receivers`` only
+    those whose receiver may still see a data packet."""
 
     def __init__(self, engine, cfg: RunConfig):
         self.engine = engine
-        self.params = TransportParams(cfg)
+        self.cfg = cfg
         self.ports = {}
         self._routes = {}
         for link in LINKS:
@@ -67,7 +69,6 @@ class Network:
                                            forward_ns, deliver_fn=self._deliver)
         self.senders = {}
         self.receivers = {}
-        self.flows = {}
 
     def route(self, src, dst):
         key = (src, dst)
@@ -92,23 +93,11 @@ class Network:
             # sender is freed
             fid = pkt.flow_id
             del self.senders[fid]
-            flow = self.flows[fid]
-            _settle_sender(flow, sender)
-            receiver = self.receivers[fid]
+            r = self.receivers[fid]
             # every data packet sent has arrived, and no more will be sent
-            if receiver.received == sender.sent:
-                del self.receivers[fid], self.flows[fid]
-                _settle_receiver(flow, receiver)
-
-
-def _settle_sender(flow, s):
-    (flow.end_ns, flow.retransmits, flow.timeouts, flow.first_ece_cut_ns,
-     flow.sent) = (s.end_ns, s.retransmits, s.timeouts, s.first_ece_cut_ns,
-                   s.sent)
-
-
-def _settle_receiver(flow, receiver):
-    flow.delivered_bytes, flow.received = receiver.cum_ack, receiver.received
+            if r.received == sender.sent:
+                del self.receivers[fid]
+                r.flow.delivered_bytes, r.flow.received = r.cum_ack, r.received
 
 
 @dataclass
@@ -148,13 +137,11 @@ class RunResult:
 def _start_flow(now, arg):
     """Build a flow's endpoints at its start and send its first window."""
     net, spec = arg
-    fid, params = spec.flow_id, net.params
-    sender = Sender(fid, spec.size_bytes, net.route(spec.src, spec.dst),
-                    net.engine, params, annotate=spec.burst)
-    net.receivers[fid] = Receiver(fid, net.route(spec.dst, spec.src),
-                                  dctcp_echo=(params.algo == DCTCP))
+    fid = spec.flow_id
+    sender = Sender(spec, net.route(spec.src, spec.dst), net.engine, net.cfg)
+    net.receivers[fid] = Receiver(spec, net.route(spec.dst, spec.src),
+                                  dctcp_echo=(sender.algo == DCTCP))
     net.senders[fid] = sender
-    net.flows[fid] = spec
     sender.start(now)
 
 
@@ -239,12 +226,12 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                                  for spec in flows), horizon)
     end_ns = engine.now if cfg.duration_ns else engine.last_dispatch_ns
 
-    # flows still running, and finished ones whose receiver was kept
-    for fid, flow in net.flows.items():
-        sender = net.senders.get(fid)
-        if sender is not None:
-            _settle_sender(flow, sender)
-        _settle_receiver(flow, net.receivers[fid])
+    # the counts of flows still running, and of finished ones whose
+    # receiver was kept
+    for sender in net.senders.values():
+        sender.flow.sent = sender.sent
+    for r in net.receivers.values():
+        r.flow.delivered_bytes, r.flow.received = r.cum_ack, r.received
     ports = net.ports.values()
     summary = RunSummary(
         events_dispatched=engine.events_dispatched + started,

@@ -6,6 +6,14 @@ so in slow start each ACK for one segment triggers two new segments: that
 ACK clock is what shapes the queue dynamics this simulator exists to
 reproduce.  Timeline bookkeeping the analysis stage relies on (send round
 tags, first-window flags, first mark-induced window cut) is recorded here.
+
+Both endpoints hold their flow's ``FlowSpec``.  A sender reads its settings
+from the run's ``RunConfig`` once and copies into its own slots what the
+per-packet path reads.  It writes the flow's rare outcome fields (end time,
+retransmissions, timeouts, first mark-induced cut) into the flow where they
+change.  The per-packet counts stay in the endpoints' slots: a sender copies
+its count into the flow when it completes, and the run copies the others
+when it retires an endpoint or ends.
 """
 
 from .packets import Packet, DATA, ACK, ACK_SIZE
@@ -16,55 +24,37 @@ DCTCP = "dctcp"
 RTO_MAX_NS = 10_000_000_000
 
 
-class TransportParams:
-    """Per-run transport knobs shared by all flows, read from a RunConfig."""
-
-    __slots__ = ("algo", "ecn_capable", "pacing", "mss", "iw_packets",
-                 "max_cwnd", "rto_min_ns", "dctcp_gain", "dctcp_alpha0",
-                 "initial_rtt_ns")
-
-    def __init__(self, cfg):
-        self.algo = cfg.host_algorithm()
-        self.ecn_capable = cfg.ecn_capable()
-        self.pacing = cfg.pacing
-        self.mss = cfg.mss_bytes
-        self.iw_packets = cfg.initial_window_packets
-        self.max_cwnd = cfg.max_cwnd_packets * cfg.mss_bytes
-        self.rto_min_ns = cfg.rto_min_ns
-        self.dctcp_gain = cfg.dctcp_gain
-        self.dctcp_alpha0 = cfg.dctcp_alpha0
-        self.initial_rtt_ns = cfg.initial_rtt_ns
-
-
 class Sender:
     """One flow's sending endpoint and congestion-control state machine."""
 
-    __slots__ = ("flow_id", "algo", "engine", "route", "params", "total",
-                 "ecn_capable", "pacing", "annotate",
+    __slots__ = ("flow", "flow_id", "total", "annotate", "engine", "route",
+                 "algo", "ecn_capable", "pacing", "mss", "iw_bytes",
+                 "max_cwnd", "rto_min_ns", "dctcp_gain",
                  "cwnd", "ssthresh", "next_seq", "highest_acked", "dupacks",
                  "in_recovery", "recover", "cut_seq", "cwr_pending", "ca_credit",
                  "alpha", "win_end", "win_acked", "win_marked",
                  "srtt", "rttvar", "rto", "rto_deadline", "rto_timer",
                  "rtt_probe", "pace_next", "pace_timer",
-                 "round", "round_end",
-                 "end_ns", "done", "sent", "retransmits",
-                 "timeouts", "first_ece_cut_ns")
+                 "round", "round_end", "done", "sent")
 
-    def __init__(self, flow_id, total_bytes, route, engine, params,
-                 annotate=True):
-        self.flow_id = flow_id
-        self.algo = params.algo
+    def __init__(self, flow, route, engine, cfg):
+        self.flow = flow
+        self.flow_id = flow.flow_id
+        self.total = flow.size_bytes
+        self.annotate = flow.burst
         self.engine = engine
         self.route = route
-        self.params = params
-        self.total = total_bytes
-        self.ecn_capable = params.ecn_capable
-        self.pacing = params.pacing
-        self.annotate = annotate
+        self.algo = cfg.host_algorithm()
+        self.ecn_capable = cfg.ecn_capable()
+        self.pacing = cfg.pacing
+        self.mss = mss = cfg.mss_bytes
+        self.iw_bytes = cfg.initial_window_packets * mss
+        self.max_cwnd = cfg.max_cwnd_packets * mss
+        self.rto_min_ns = cfg.rto_min_ns
+        self.dctcp_gain = cfg.dctcp_gain
 
-        mss = params.mss
-        self.cwnd = min(params.iw_packets * mss, params.max_cwnd)
-        self.ssthresh = params.max_cwnd
+        self.cwnd = min(self.iw_bytes, self.max_cwnd)
+        self.ssthresh = self.max_cwnd
         self.next_seq = 0
         self.highest_acked = 0
         self.dupacks = 0
@@ -74,14 +64,14 @@ class Sender:
         self.cwr_pending = False
         self.ca_credit = 0
 
-        self.alpha = params.dctcp_alpha0
+        self.alpha = cfg.dctcp_alpha0
         self.win_end = 0
         self.win_acked = 0
         self.win_marked = 0
 
-        self.srtt = params.initial_rtt_ns
-        self.rttvar = params.initial_rtt_ns // 2
-        self.rto = params.rto_min_ns
+        self.srtt = cfg.initial_rtt_ns
+        self.rttvar = cfg.initial_rtt_ns // 2
+        self.rto = cfg.rto_min_ns
         self.rto_deadline = 0
         self.rto_timer = None
         self.rtt_probe = None
@@ -91,12 +81,8 @@ class Sender:
         self.round = 0
         self.round_end = 0
 
-        self.end_ns = None
         self.done = False
         self.sent = 0           # data packets, retransmissions included
-        self.retransmits = 0
-        self.timeouts = 0
-        self.first_ece_cut_ns = None
 
     # -- state view ---------------------------------------------------------
 
@@ -119,8 +105,7 @@ class Sender:
             pkt.cwr = True
             self.cwr_pending = False
         if self.annotate:
-            pkt.first_window = (not retransmit
-                                and seq_lo < self.params.iw_packets * self.params.mss)
+            pkt.first_window = not retransmit and seq_lo < self.iw_bytes
             pkt.send_round = self.round
         else:
             pkt.send_round = -1
@@ -132,7 +117,7 @@ class Sender:
         self.route[0].enqueue(pkt, now)
 
     def _send_available(self, now):
-        mss = self.params.mss
+        mss = self.mss
         total = self.total
         while self.next_seq < total and self.next_seq - self.highest_acked < self.cwnd:
             if self.pacing:
@@ -146,7 +131,7 @@ class Sender:
             size = min(mss, total - self.next_seq)
             rexmit = self.next_seq < self.recover   # resend after a timeout rewind
             if rexmit:
-                self.retransmits += 1
+                self.flow.retransmits += 1
             self._emit(self.next_seq, size, now, retransmit=rexmit)
             self.next_seq += size
 
@@ -160,7 +145,7 @@ class Sender:
         if self.done:
             return
         ack = pkt.ack_no
-        mss = self.params.mss
+        mss = self.mss
         if ack > self.highest_acked:
             delta = ack - self.highest_acked
             self.highest_acked = ack
@@ -207,7 +192,7 @@ class Sender:
         else:
             self.dupacks += 1
             if self.in_recovery:
-                self.cwnd = min(self.cwnd + mss, self.params.max_cwnd)
+                self.cwnd = min(self.cwnd + mss, self.max_cwnd)
                 self._send_available(now)
             elif self.dupacks == 3 and self.highest_acked >= self.recover:
                 # the recover guard suppresses spurious entry while data
@@ -215,7 +200,7 @@ class Sender:
                 self._fast_retransmit(now)
 
     def _grow(self, acked_delta):
-        mss = self.params.mss
+        mss = self.mss
         if self.cwnd < self.ssthresh:
             self.cwnd += mss
         else:
@@ -224,15 +209,15 @@ class Sender:
             if self.ca_credit >= self.cwnd:
                 self.ca_credit -= self.cwnd
                 self.cwnd += mss
-        if self.cwnd > self.params.max_cwnd:
-            self.cwnd = self.params.max_cwnd
+        if self.cwnd > self.max_cwnd:
+            self.cwnd = self.max_cwnd
 
     def _cut(self, cwnd, now):
         """Cut cwnd and ssthresh to ``cwnd`` (at least one MSS) on a mark."""
-        self.cwnd = self.ssthresh = max(cwnd, self.params.mss)
+        self.cwnd = self.ssthresh = max(cwnd, self.mss)
         self.cwr_pending = True
-        if self.first_ece_cut_ns is None:
-            self.first_ece_cut_ns = now
+        if self.flow.first_ece_cut_ns is None:
+            self.flow.first_ece_cut_ns = now
 
     def _ece_cut(self, now):
         self._cut(self.cwnd // 2, now)
@@ -242,7 +227,7 @@ class Sender:
     def _dctcp_window_boundary(self, now):
         if self.win_acked > 0:
             frac = self.win_marked / self.win_acked
-            self.alpha += self.params.dctcp_gain * (frac - self.alpha)
+            self.alpha += self.dctcp_gain * (frac - self.alpha)
             if self.win_marked > 0:
                 self._cut(self.cwnd - int(self.cwnd * self.alpha / 2), now)
         self.win_acked = 0
@@ -250,15 +235,15 @@ class Sender:
         self.win_end = self.next_seq
 
     def _retransmit_head(self, now):
-        mss = self.params.mss
+        mss = self.mss
         size = min(mss, self.next_seq - self.highest_acked)
         if size <= 0:
             return
-        self.retransmits += 1
+        self.flow.retransmits += 1
         self._emit(self.highest_acked, size, now, retransmit=True)
 
     def _fast_retransmit(self, now):
-        mss = self.params.mss
+        mss = self.mss
         self.ssthresh = max(self.inflight() // 2, 2 * mss)
         self._retransmit_head(now)
         self.cwnd = self.ssthresh + 3 * mss
@@ -273,7 +258,7 @@ class Sender:
         delta = sample_ns - self.srtt
         self.srtt += delta // 8
         self.rttvar += (abs(delta) - self.rttvar) // 4
-        self.rto = max(self.srtt + 4 * self.rttvar, self.params.rto_min_ns)
+        self.rto = max(self.srtt + 4 * self.rttvar, self.rto_min_ns)
 
     def _arm_rto(self, deadline):
         """The one place the retransmission timer is scheduled; the caller
@@ -291,7 +276,7 @@ class Sender:
             self._arm_rto(self.rto_deadline)
 
     def on_timeout(self, now):
-        mss = self.params.mss
+        mss = self.mss
         self.ssthresh = max(self.cwnd // 2, 2 * mss)
         self.cwnd = mss
         self.ca_credit = 0
@@ -300,7 +285,7 @@ class Sender:
         self.recover = self.next_seq
         self.next_seq = self.highest_acked   # go-back-N: rewind the frontier
         self.rtt_probe = None
-        self.timeouts += 1
+        self.flow.timeouts += 1
         self.rto = min(self.rto * 2, RTO_MAX_NS)
         self.rto_deadline = now + self.rto
         self._send_available(now)
@@ -309,7 +294,7 @@ class Sender:
 
     def _complete(self, now):
         self.done = True
-        self.end_ns = now
+        self.flow.end_ns, self.flow.sent = now, self.sent
         if self.rto_timer is not None:
             self.engine.cancel(self.rto_timer)
             self.rto_timer = None
@@ -330,11 +315,12 @@ class Receiver:
     clears when the sender signals its window reduction (CWR).
     """
 
-    __slots__ = ("flow_id", "route", "dctcp_echo", "cum_ack", "segments",
-                 "sticky_ece", "received")
+    __slots__ = ("flow", "flow_id", "route", "dctcp_echo", "cum_ack",
+                 "segments", "sticky_ece", "received")
 
-    def __init__(self, flow_id, route, dctcp_echo):
-        self.flow_id = flow_id
+    def __init__(self, flow, route, dctcp_echo):
+        self.flow = flow
+        self.flow_id = flow.flow_id
         self.route = route
         self.dctcp_echo = dctcp_echo
         self.cum_ack = 0

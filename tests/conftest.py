@@ -8,7 +8,8 @@ from microburst.config import RunConfig
 from microburst.engine import Engine
 from microburst.netmodel import Port
 from microburst.packets import DATA
-from microburst.transport import Receiver, Sender, TransportParams
+from microburst.scenarios import FlowSpec
+from microburst.transport import Receiver, Sender
 
 # the same examples on every run, so a failing one reproduces on rerun
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -20,17 +21,9 @@ settings.load_profile("deterministic")
 _PROTOCOL_OF = {"newreno": "ECN*", "dctcp": "DCTCP"}
 
 
-def transport_params(algo, **fields):
-    """TransportParams of a run of ``algo`` whose RunConfig sets ``fields``
-    and keeps every other default."""
-    cfg = RunConfig(seed=1, protocol=_PROTOCOL_OF[algo],
-                    scenario={"kind": "incast"}, **fields)
-    return TransportParams(cfg.validate())
-
-
 class OneLink:
-    """Sender and receiver joined by one forward and one reverse port;
-    ``fields`` are RunConfig transport fields, e.g. ``pacing=True``."""
+    """Sender and receiver of one flow joined by one forward and one reverse
+    port; ``fields`` are RunConfig transport fields, e.g. ``pacing=True``."""
 
     def __init__(self, rate_bps=1_000_000_000, algo="newreno",
                  total_bytes=1_000_000, **fields):
@@ -39,10 +32,13 @@ class OneLink:
                         deliver_fn=self._deliver)
         self.rev = Port("rev", rate_bps, None, None, self.engine,
                         deliver_fn=self._deliver)
-        self.params = transport_params(algo, **fields)
-        self.sender = Sender(0, total_bytes, (self.fwd,), self.engine,
-                             self.params)
-        self.receiver = Receiver(0, (self.rev,), dctcp_echo=(algo == "dctcp"))
+        cfg = RunConfig(seed=1, protocol=_PROTOCOL_OF[algo],
+                        scenario={"kind": "incast"}, **fields)
+        self.flow = FlowSpec(0, "h1", "h10", total_bytes, 0)
+        self.sender = Sender(self.flow, (self.fwd,), self.engine,
+                             cfg.validate())
+        self.receiver = Receiver(self.flow, (self.rev,),
+                                 dctcp_echo=(algo == "dctcp"))
 
     def _deliver(self, now, pkt):
         if pkt.kind == DATA:

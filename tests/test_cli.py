@@ -204,6 +204,8 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("scenario", "query_fraction", "x", "scenario.query_fraction"),
     ("scenario", "query_bytes", 5, "scenario.query_bytes"),
     ("sweep", "values", [4, 4], "sweep.values"),
+    ("scenario:sync_fanin", "receiver", "h1", "scenario.receiver"),
+    ("scenario:sync_fanin", "senders", ["h10"], "scenario.receiver"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):

@@ -129,6 +129,16 @@ def test_event_scheduled_between_run_until_calls():
     assert eng.events_dispatched == 4
 
 
+def test_last_dispatch_is_kept_by_a_call_that_dispatches_nothing():
+    eng = Engine()
+    eng.run_until(2)
+    assert (eng.last_dispatch_ns, eng.events_dispatched) == (0, 0)
+    eng.schedule(3, lambda t, a: None)
+    eng.run_until(5)
+    eng.run_until(10)
+    assert (eng.last_dispatch_ns, eng.events_dispatched, eng.now) == (3, 1, 10)
+
+
 # ("schedule", delay from the firing) or ("cancel", index into the handles
 # of the events scheduled so far)
 _ACTION = st.one_of(st.tuples(st.just("schedule"), st.integers(0, 40)),

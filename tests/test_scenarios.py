@@ -61,6 +61,16 @@ def test_sync_fanin_senders_default_only_when_missing_or_null():
     assert [f.src for f in flows] == ["h4", "h4"]
 
 
+def test_sync_fanin_receiver_may_be_a_listed_sender_the_burst_never_uses():
+    flows, _ = build_schedule({"kind": "sync_fanin", "n": 1, "receiver": "h1",
+                               "senders": ["h2", "h1"]}, rng(), GBPS)
+    assert [(f.src, f.dst) for f in flows] == [("h2", "h1")]
+    with pytest.raises(InvalidParam, match=r"^scenario\.receiver: h1 is one "
+                                           r"of the senders the burst uses"):
+        build_schedule({"kind": "sync_fanin", "n": 2, "receiver": "h1",
+                        "senders": ["h2", "h1"]}, rng(), GBPS)
+
+
 def test_sync_fanin_jitter_within_window():
     flows, _ = gen_sync_fanin(18, jitter_ns=20_000, rng=rng())
     assert all(0 <= f.start_ns < 20_000 for f in flows)
@@ -123,7 +133,8 @@ def test_incast_fixed_response():
     flows, queries = gen_incast(40, mode="fixed_response")
     assert len(flows) == 40
     assert all(f.size_bytes == 64_000 for f in flows)
-    assert len(queries) == 1 and len(queries[0].flow_ids) == 40
+    assert len(queries) == 1
+    assert [f.query_id for f in flows] == [queries[0].query_id] * 40
 
 
 def test_incast_fixed_total_even_split():

@@ -250,7 +250,10 @@ def test_query_ends_match_completion_order_when_cut_at_horizon(monkeypatch):
                               "duration_ns": 40_000_000},
                     buffer_bytes=64_000, telemetry_mode="off")
     res = run_simulation(cfg)
-    pending = {q.query_id: set(q.flow_ids) for q, _ in res.queries}
+    members = {q.query_id: {f.flow_id for f in res.flows
+                            if f.query_id == q.query_id}
+               for q, _ in res.queries}
+    pending = {qid: set(fids) for qid, fids in members.items()}
     ends = dict.fromkeys(pending)
     for flow_id, now in completions:
         for qid, flows in pending.items():
@@ -265,7 +268,7 @@ def test_query_ends_match_completion_order_when_cut_at_horizon(monkeypatch):
     # the case holds finished queries, queries cut with part of their flows
     # done, and queries with none done
     kinds = {"finished" if ends[q.query_id] is not None
-             else "cut" if len(pending[q.query_id]) < len(q.flow_ids)
+             else "cut" if pending[q.query_id] < members[q.query_id]
              else "none done" for q, _ in res.queries}
     assert kinds == {"finished", "cut", "none done"}
 
@@ -285,9 +288,9 @@ def test_finished_senders_are_freed_when_the_loop_returns(monkeypatch):
     refs, live = {}, set()
 
     class TrackedSender(Sender):
-        def __init__(self, flow_id, *args, **kwargs):
-            super().__init__(flow_id, *args, **kwargs)
-            refs[flow_id] = weakref.ref(self)
+        def __init__(self, flow, *args, **kwargs):
+            super().__init__(flow, *args, **kwargs)
+            refs[flow.flow_id] = weakref.ref(self)
 
     run_until = Engine.run_until
 
@@ -331,8 +334,8 @@ def test_cut_run_records_every_flow_started_or_not(monkeypatch):
     assert any(f.first_ece_cut_ns is not None for f in started)
     for f in started:
         s = by_flow[f.flow_id]
-        assert (f.end_ns, f.retransmits, f.timeouts, f.first_ece_cut_ns) == \
-               (s.end_ns, s.retransmits, s.timeouts, s.first_ece_cut_ns)
+        assert s.flow is f and f.sent == s.sent
+        assert (f.end_ns is not None) == s.done
     assert res.summary.packets_sent == sum(s.sent for s in senders)
 
 
@@ -365,7 +368,7 @@ def test_drop_free_run_keeps_no_receiver_and_returns_the_schedule(
         scenario={"kind": "incast", "n": 8, "response_bytes": 64_000}))
     assert res.summary.packets_dropped == 0
     (net,), ((flows, _),) = networks, schedules
-    assert net.senders == net.receivers == net.flows == {}
+    assert net.senders == net.receivers == {}
     assert len(res.flows) == len(flows) == 8
     assert all(kept is scheduled for kept, scheduled in zip(res.flows, flows))
     for f in res.flows:
@@ -380,9 +383,10 @@ def test_cut_run_keeps_a_receiver_only_while_a_packet_may_reach_it(networks):
     lossy = {f.flow_id for f in res.flows
              if f.end_ns is not None and f.received < f.sent}
     assert running and lossy
-    assert set(net.receivers) == set(net.flows) == running | lossy
-    for f in res.flows:
-        assert net.flows.get(f.flow_id, f) is f
+    assert set(net.receivers) == running | lossy
+    by_id = {f.flow_id: f for f in res.flows}
+    for fid, receiver in net.receivers.items():
+        assert receiver.flow is by_id[fid]
 
 
 def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
@@ -407,7 +411,8 @@ def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
     assert res.summary.packets_sent == (res.summary.packets_delivered
                                         + res.ports["h1->t1"]["data_drops"])
     net, = nets
-    assert net.senders == {} and set(net.receivers) == set(net.flows) == {0}
+    assert net.senders == {} and set(net.receivers) == {0}
+    assert net.receivers[0].flow is lost
     # a retransmitted copy of the first segment arrives after the flow ended:
     # the kept receiver acknowledges it, and the late ACK is ignored
     receiver = net.receivers[0]
@@ -546,9 +551,8 @@ def test_every_transport_field_reaches_a_started_sender(monkeypatch, protocol,
 
     class SeenSender(Sender):
         def start(self, now):
-            p = self.params
-            seen.append((self.algo, self.ecn_capable, self.pacing, p.mss,
-                         p.dctcp_gain, self.cwnd, self.ssthresh, self.alpha,
+            seen.append((self.algo, self.ecn_capable, self.pacing, self.mss,
+                         self.dctcp_gain, self.cwnd, self.ssthresh, self.alpha,
                          self.srtt, self.rto))
             super().start(now)
 

@@ -1,6 +1,7 @@
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from microburst.packets import ACK, Packet
+from microburst.scenarios import FlowSpec
 from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, Receiver, Sender
 
 MSS = 1500
@@ -36,7 +37,7 @@ def test_single_packet_flow_completes_on_ack(one_link):
     net.run(1_000_000)
     assert net.sender.done
     # one 12us serialization + one 512ns ACK
-    assert net.sender.end_ns == 12_512
+    assert net.flow.end_ns == 12_512
 
 
 def test_slow_start_two_packets_per_ack(one_link):
@@ -155,7 +156,7 @@ def test_three_dupacks_trigger_fast_retransmit(one_link):
     for _ in range(3):
         s.on_ack(ack(0, 0), 100)
     assert s.in_recovery
-    assert s.retransmits == 1
+    assert net.flow.retransmits == 1
     assert net.sender.sent == sent + 1
     assert s.ssthresh == 5 * MSS
 
@@ -169,7 +170,7 @@ def test_timeout_backoff_sequence(one_link):
     assert s.rto == 20_000_000
     s.on_timeout(0)
     assert s.rto == 40_000_000
-    assert s.timeouts == 2
+    assert net.flow.timeouts == 2
     assert s.cwnd == MSS
     assert not s.in_recovery and s.cwnd < s.ssthresh    # slow start
 
@@ -212,7 +213,8 @@ def test_receiver_out_of_order_duplicate_ack(one_link):
     r.on_data(p3, 10)          # hole: duplicate cumulative ack
     assert r.cum_ack == MSS
     # the held segment is this receiver's alone
-    fresh = Receiver(1, (StubPort(),), dctcp_echo=False)
+    fresh = Receiver(FlowSpec(1, "h2", "h10", 3 * MSS, 0), (StubPort(),),
+                     dctcp_echo=False)
     assert r.segments == {2 * MSS: 3 * MSS} and fresh.segments == {}
     r.on_data(p2, 20)          # hole filled: jumps past both
     assert r.cum_ack == 3 * MSS
