@@ -10,15 +10,13 @@ one of the named acceptance checks.
 import argparse
 import json
 import os
-import random
 import resource
 import sys
 import time
 
 from .checks import CHECKS, run_check
 from .config import ConfigError, config_from_dict, expand, read_yaml
-from .scenarios import InvalidParam, build_schedule
-from .sim import run_plan, write_outputs
+from .sim import prepare_run, run_plan, write_outputs
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -36,9 +34,8 @@ def cmd_run(args) -> int:
         base = {k: v for k, v in raw.items() if k != "sweep"}
         plan = expand(base, {sweep["param"]: sweep["values"]} if sweep else {})
         for _, cfg in plan:
-            build_schedule(cfg.scenario, random.Random(cfg.seed),
-                           cfg.link_rate_bps)
-    except (ConfigError, InvalidParam) as exc:
+            prepare_run(cfg)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

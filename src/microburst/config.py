@@ -54,6 +54,14 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def check_int(path, value, minimum):
+    """A ConfigError naming ``path`` unless ``value`` is an integer >=
+    ``minimum``."""
+    if not _is_int(value) or value < minimum:
+        raise ConfigError(path, f"must be an integer >= {minimum}, "
+                                f"got {value!r}")
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -102,10 +110,8 @@ class RunConfig:
             raise ConfigError("telemetry.mode",
                               f"must be one of {TELEMETRY_MODES}")
         for name, minimum in _COUNTS.items():
-            value = getattr(self, name)
-            if not _is_int(value) or value < minimum:
-                raise ConfigError(_FIELD_PATHS.get(name, name),
-                                  f"must be an integer >= {minimum}, got {value!r}")
+            check_int(_FIELD_PATHS.get(name, name), getattr(self, name),
+                      minimum)
         # a buffer smaller than one segment can never admit a full one
         mss = self.mss_bytes
         if self.buffer_bytes < mss:
@@ -205,11 +211,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("protocol", "protocol is mandatory")
     if "scenario" not in kwargs:
         raise ConfigError("scenario", "scenario is mandatory")
-    try:
-        cfg = RunConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("<root>", str(exc)) from None
-    return cfg.validate()
+    return RunConfig(**kwargs).validate()
 
 
 def expand(raw: dict, axes: dict) -> list:

@@ -11,13 +11,9 @@ import inspect
 from dataclasses import dataclass
 from importlib import resources
 
+from .config import ConfigError, _is_number, check_int
 from .topology import HOSTS
 from .units import NS_PER_S
-
-
-class InvalidParam(Exception):
-    """A scenario parameter is out of its documented range."""
-
 
 _HOSTS = frozenset(HOSTS)    # for membership tests
 FANIN_RECEIVER = "h10"
@@ -60,19 +56,20 @@ def validate_schedule(flows):
     last_start = 0
     for f in flows:
         if f.src not in _HOSTS or f.dst not in _HOSTS:
-            raise InvalidParam(f"flow {f.flow_id}: {f.src} -> {f.dst} "
-                               "is not between preset hosts h1..h12")
+            raise ConfigError("scenario", f"flow {f.flow_id}: {f.src} -> "
+                              f"{f.dst} is not between preset hosts h1..h12")
         if f.src == f.dst:
-            raise InvalidParam(f"flow {f.flow_id}: src == dst ({f.src})")
+            raise ConfigError("scenario",
+                              f"flow {f.flow_id}: src == dst ({f.src})")
         if f.size_bytes <= 0:
-            raise InvalidParam(f"flow {f.flow_id}: non-positive size")
+            raise ConfigError("scenario", f"flow {f.flow_id}: non-positive size")
         if f.start_ns < 0:
-            raise InvalidParam(f"flow {f.flow_id}: negative start")
+            raise ConfigError("scenario", f"flow {f.flow_id}: negative start")
         if f.flow_id in seen:
-            raise InvalidParam(f"duplicate flow id {f.flow_id}")
+            raise ConfigError("scenario", f"duplicate flow id {f.flow_id}")
         seen.add(f.flow_id)
         if f.start_ns < last_start:
-            raise InvalidParam("schedule not sorted by start time")
+            raise ConfigError("scenario", "schedule not sorted by start time")
         last_start = f.start_ns
     return flows
 
@@ -80,8 +77,8 @@ def validate_schedule(flows):
 def _check_hosts(name, hosts):
     for host in hosts:
         if not isinstance(host, str) or host not in _HOSTS:
-            raise InvalidParam(f"scenario.{name}: no host {host!r} in the "
-                               "preset; hosts are h1..h12")
+            raise ConfigError(f"scenario.{name}", f"no host {host!r} in the "
+                              "preset; hosts are h1..h12")
 
 
 def _sorted(flows):
@@ -112,14 +109,14 @@ def gen_sync_fanin(n, response_bytes=1_000_000, start_ns=0, jitter_ns=0,
     if senders is None:
         senders = FANIN_SENDERS
     elif not isinstance(senders, list) or not senders:
-        raise InvalidParam("scenario.senders: must be a non-empty list of "
-                           f"preset hosts h1..h12, got {senders!r}")
+        raise ConfigError("scenario.senders", "must be a non-empty list of "
+                          f"preset hosts h1..h12, got {senders!r}")
     _check_hosts("receiver", [receiver])
     _check_hosts("senders", senders)
     used = senders[:n]   # the burst takes senders[i % len(senders)], i < n
     if receiver in used:
-        raise InvalidParam(f"scenario.receiver: {receiver} is one of the "
-                           f"senders the burst uses, {used}")
+        raise ConfigError("scenario.receiver", f"{receiver} is one of the "
+                          f"senders the burst uses, {used}")
     return _sorted(_burst(0, n, senders, receiver, response_bytes, start_ns,
                           jitter_ns, rng)), []
 
@@ -175,11 +172,11 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
     """Synchronized query responses: fixed per-slave size, or a fixed total
     split evenly (integer floor, remainder on the first flow)."""
     if mode not in ("fixed_response", "fixed_total"):
-        raise InvalidParam(f"scenario.mode: unknown incast mode {mode!r}")
+        raise ConfigError("scenario.mode", f"unknown incast mode {mode!r}")
     if mode == "fixed_total":
         if total_bytes < n:   # every flow needs at least one byte
-            raise InvalidParam(f"scenario.total_bytes: must be >= n ({n}), "
-                               f"got {total_bytes!r}")
+            raise ConfigError("scenario.total_bytes",
+                              f"must be >= n ({n}), got {total_bytes!r}")
         base = total_bytes // n
         sizes = [base + total_bytes % n] + [base] * (n - 1)
     else:
@@ -215,14 +212,14 @@ def load_size_cdf(path=None):
         text = (resources.files("microburst") / "data" /
                 "websearch_sizes.cdf").read_text()
     elif not isinstance(path, str):   # an int would open a file descriptor
-        raise InvalidParam(f"scenario.cdf_path: must be a file path, "
-                           f"got {path!r}")
+        raise ConfigError("scenario.cdf_path",
+                          f"must be a file path, got {path!r}")
     else:
         try:
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InvalidParam(f"scenario.cdf_path: {exc}") from None
+            raise ConfigError("scenario.cdf_path", str(exc)) from None
     sizes, probs = [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -232,19 +229,19 @@ def load_size_cdf(path=None):
             size, prob = line.split()
             size, prob = int(size), float(prob)
         except ValueError:
-            raise InvalidParam(f"scenario.cdf_path: line {lineno}: expected "
-                               f"'size_bytes cum_probability', got {line!r}"
-                               ) from None
+            raise ConfigError("scenario.cdf_path",
+                              f"line {lineno}: expected 'size_bytes "
+                              f"cum_probability', got {line!r}") from None
         if (size < 1 or not 0 < prob <= 1
                 or sizes and (size <= sizes[-1] or prob <= probs[-1])):
-            raise InvalidParam(f"scenario.cdf_path: line {lineno}: sizes must "
-                               "be >= 1 and probabilities in (0, 1], both "
-                               "strictly increasing")
+            raise ConfigError("scenario.cdf_path", f"line {lineno}: sizes "
+                              "must be >= 1 and probabilities in (0, 1], "
+                              "both strictly increasing")
         sizes.append(size)
         probs.append(prob)
     if not sizes or abs(probs[-1] - 1.0) > 1e-9:
-        raise InvalidParam("scenario.cdf_path: the CDF must end at "
-                           "cumulative probability 1.0")
+        raise ConfigError("scenario.cdf_path", "the CDF must end at "
+                          "cumulative probability 1.0")
     return sizes, probs
 
 
@@ -273,16 +270,16 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     Background flow sizes come from the bundled (approximate) step CDF.
     """
     for name, value in (("load", load), ("query_fraction", query_fraction)):
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not 0 < value < 1):
-            raise InvalidParam(f"scenario.{name}: must be a number in (0,1), "
-                               f"got {value!r}")
+        if not _is_number(value) or not 0 < value < 1:
+            raise ConfigError(f"scenario.{name}",
+                              f"must be a number in (0,1), got {value!r}")
     _check_hosts("master", [master])
     cdf = cdf or load_size_cdf()
     responders = [h for h in HOSTS if h != master]
     if query_bytes < len(responders):
-        raise InvalidParam(f"scenario.query_bytes: must be >= {len(responders)}"
-                           f" (one byte per responder), got {query_bytes!r}")
+        raise ConfigError("scenario.query_bytes",
+                          f"must be >= {len(responders)} (one byte per "
+                          f"responder), got {query_bytes!r}")
 
     target_bytes = load * (link_rate_bps / 8) * (duration_ns / NS_PER_S)
     query_rate = query_fraction * target_bytes / query_bytes / duration_ns
@@ -351,17 +348,13 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
     kind = params.pop("kind", None)
     gen = GENERATORS.get(kind)
     if gen is None:
-        raise InvalidParam(f"scenario.kind: unknown scenario {kind!r}")
+        raise ConfigError("scenario.kind", f"unknown scenario {kind!r}")
     for name in _RESERVED:
         if name in params:
-            raise InvalidParam(f"scenario.{name}: set by the simulator, "
-                               "not by the config")
+            raise ConfigError(f"scenario.{name}",
+                              "set by the simulator, not by the config")
     for name, minimum in _INTS.items():
-        value = params.get(name, minimum)
-        if (not isinstance(value, int) or isinstance(value, bool)
-                or value < minimum):
-            raise InvalidParam(f"scenario.{name}: must be an integer >= "
-                               f"{minimum}, got {value!r}")
+        check_int(f"scenario.{name}", params.get(name, minimum), minimum)
     signature = _PARAMS[kind]
     if "cdf" in signature and "cdf_path" in params:
         params["cdf"] = load_size_cdf(params.pop("cdf_path"))
@@ -370,8 +363,8 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
             params[name] = value
     for name in params:
         if name not in signature:
-            raise InvalidParam(f"scenario.{name}: not a parameter of {kind}")
+            raise ConfigError(f"scenario.{name}", f"not a parameter of {kind}")
     for name, param in signature.items():
         if param.default is param.empty and name not in params:
-            raise InvalidParam(f"scenario.{name}: required by {kind}")
+            raise ConfigError(f"scenario.{name}", f"required by {kind}")
     return gen(**params)

@@ -204,11 +204,22 @@ def _audit(net, engine, flows, summary):
             f"{dropped} + queued {queued} + held in delayed events {held}")
 
 
-def run_simulation(cfg: RunConfig) -> RunResult:
+def prepare_run(cfg: RunConfig):
+    """``(flows, queries, horizon)`` of a run: validates ``cfg``, builds its
+    schedule and works out the time its loop runs to.  Every check made
+    before a run's first event is made here."""
     cfg.validate()
-    rng = random.Random(cfg.seed)
-    flows, queries = build_schedule(cfg.scenario, rng, cfg.link_rate_bps)
+    flows, queries = build_schedule(cfg.scenario, random.Random(cfg.seed),
+                                    cfg.link_rate_bps)
+    if cfg.duration_ns:
+        horizon = cfg.duration_ns + cfg.drain_grace_ns
+    else:
+        horizon = 1 << 62   # drains the event set
+    return flows, queries, horizon
 
+
+def run_simulation(cfg: RunConfig) -> RunResult:
+    flows, queries, horizon = prepare_run(cfg)
     engine = Engine()
     net = Network(engine, cfg)
 
@@ -218,10 +229,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
             traces[port_id] = net.ports[port_id].trace = PortTrace(
                 port_id, fidelity=(cfg.telemetry_mode == "fidelity"))
 
-    if cfg.duration_ns:
-        horizon = cfg.duration_ns + cfg.drain_grace_ns
-    else:
-        horizon = 1 << 62   # drains the event set
     started = _run_loop(engine, ((spec.start_ns, _start_flow, (net, spec))
                                  for spec in flows), horizon)
     end_ns = engine.now if cfg.duration_ns else engine.last_dispatch_ns

@@ -1,7 +1,6 @@
 import glob
 import json
 import os
-import random
 
 import pytest
 import yaml
@@ -9,8 +8,7 @@ import yaml
 from microburst.cli import main
 from microburst.config import (RunConfig, config_from_dict, effective_yaml,
                                expand, read_yaml)
-from microburst.scenarios import build_schedule
-from microburst.sim import run_simulation, write_outputs
+from microburst.sim import prepare_run, run_simulation, write_outputs
 
 GOOD_CONFIG = {
     "seed": 5,
@@ -274,8 +272,7 @@ def test_shipped_config_expands_into_scheduled_runs(path):
         [(f"{sweep['param'].split('.')[-1]}={v}",) for v in sweep["values"]]
         if sweep else [()])
     for _, cfg in plan:
-        flows, _ = build_schedule(cfg.scenario, random.Random(cfg.seed),
-                                  cfg.link_rate_bps)
+        flows, _, _ = prepare_run(cfg)
         assert flows
 
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from microburst import scenarios
-from microburst.scenarios import (InvalidParam, build_schedule, cdf_mean,
-                                  gen_async_fanin, gen_background_prev_hop,
+from microburst.config import ConfigError
+from microburst.scenarios import (build_schedule, cdf_mean, gen_async_fanin,
+                                  gen_background_prev_hop,
                                   gen_background_same_hop, gen_incast,
                                   gen_long_flow_batches, gen_one_background,
                                   gen_sync_fanin, gen_websearch, load_size_cdf,
@@ -38,14 +39,14 @@ def test_sync_fanin_degenerate_single():
 
 
 def test_sync_fanin_rejects_zero():
-    with pytest.raises(InvalidParam, match=r"^scenario\.n: "):
+    with pytest.raises(ConfigError, match=r"^scenario\.n: "):
         build_schedule({"kind": "sync_fanin", "n": 0}, rng(), GBPS)
 
 
 @pytest.mark.parametrize("senders", [[], "h1", {"h1": 1}],
                          ids=["empty", "string", "mapping"])
 def test_sync_fanin_senders_must_be_a_non_empty_host_list(senders):
-    with pytest.raises(InvalidParam, match=r"^scenario\.senders: must be a "
+    with pytest.raises(ConfigError, match=r"^scenario\.senders: must be a "
                        r"non-empty list of preset hosts"):
         build_schedule({"kind": "sync_fanin", "n": 2, "senders": senders},
                        rng(), GBPS)
@@ -65,7 +66,7 @@ def test_sync_fanin_receiver_may_be_a_listed_sender_the_burst_never_uses():
     flows, _ = build_schedule({"kind": "sync_fanin", "n": 1, "receiver": "h1",
                                "senders": ["h2", "h1"]}, rng(), GBPS)
     assert [(f.src, f.dst) for f in flows] == [("h2", "h1")]
-    with pytest.raises(InvalidParam, match=r"^scenario\.receiver: h1 is one "
+    with pytest.raises(ConfigError, match=r"^scenario\.receiver: h1 is one "
                                            r"of the senders the burst uses"):
         build_schedule({"kind": "sync_fanin", "n": 2, "receiver": "h1",
                         "senders": ["h2", "h1"]}, rng(), GBPS)
@@ -156,7 +157,7 @@ def test_incast_single_flow_total():
 
 
 def test_incast_unknown_mode():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         gen_incast(4, mode="bogus")
 
 
@@ -183,7 +184,7 @@ def test_cdf_loads_and_is_normalized():
 def test_cdf_rejects_non_increasing(tmp_path):
     bad = tmp_path / "bad.cdf"
     bad.write_text("1000 0.5\n900 1.0\n")
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         load_size_cdf(str(bad))
 
 
@@ -209,16 +210,16 @@ def test_integer_cdf_path_is_rejected_unopened(monkeypatch):
     # open(0) would read standard input and then close it
     monkeypatch.setattr(scenarios, "open", lambda *a: pytest.fail("opened"),
                         raising=False)
-    with pytest.raises(InvalidParam, match=r"^scenario\.cdf_path: "):
+    with pytest.raises(ConfigError, match=r"^scenario\.cdf_path: "):
         build_schedule({"kind": "websearch", "load": 0.4,
                         "duration_ns": 10_000_000, "cdf_path": 0},
                        rng(), GBPS)
 
 
 def test_websearch_rejects_bad_load():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         gen_websearch(1.5, 10**9, rng())
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         gen_websearch(0.0, 10**9, rng())
 
 
@@ -248,18 +249,18 @@ def test_websearch_deterministic():
 # -- schedule validation and dispatch ------------------------------------------
 
 def test_validate_rejects_same_endpoints():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         validate_schedule([FlowSpec(0, "h1", "h1", 100, 0)])
 
 
 def test_validate_rejects_hosts_outside_the_preset():
     for src, dst in (("h99", "h10"), ("h1", "h0"), ("h1", "root")):
-        with pytest.raises(InvalidParam, match="preset hosts"):
+        with pytest.raises(ConfigError, match="preset hosts"):
             validate_schedule([FlowSpec(0, src, dst, 100, 0)])
 
 
 def test_validate_rejects_duplicate_ids():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         validate_schedule([FlowSpec(0, "h1", "h2", 100, 0),
                            FlowSpec(0, "h2", "h3", 100, 0)])
 
@@ -270,12 +271,12 @@ def test_build_schedule_dispatch():
 
 
 def test_build_schedule_unknown_kind():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         build_schedule({"kind": "nope"}, rng(), GBPS)
 
 
 def test_build_schedule_bad_param_names_scenario():
-    with pytest.raises(InvalidParam):
+    with pytest.raises(ConfigError):
         build_schedule({"kind": "sync_fanin", "bogus": 3}, rng(), GBPS)
 
 
@@ -287,7 +288,7 @@ def test_build_schedule_bad_param_names_scenario():
      "long_flow_batches"),
 ], ids=["unknown", "websearch_only", "other_kind"])
 def test_build_schedule_names_a_key_the_kind_does_not_take(scenario, message):
-    with pytest.raises(InvalidParam, match=f"^scenario\\.{message}$"):
+    with pytest.raises(ConfigError, match=f"^scenario\\.{message}$"):
         build_schedule(scenario, rng(), GBPS)
 
 
@@ -296,13 +297,13 @@ def test_build_schedule_names_a_key_the_kind_does_not_take(scenario, message):
     ({"kind": "websearch", "load": 0.4}, "duration_ns: required by websearch"),
 ], ids=["sync_fanin", "websearch"])
 def test_build_schedule_names_a_missing_required_key(scenario, message):
-    with pytest.raises(InvalidParam, match=f"^scenario\\.{message}$"):
+    with pytest.raises(ConfigError, match=f"^scenario\\.{message}$"):
         build_schedule(scenario, rng(), GBPS)
 
 
 @pytest.mark.parametrize("key", ["receiver", "senders"])
 def test_unhashable_host_is_named(key):
     value = [1] if key == "receiver" else [[1]]
-    with pytest.raises(InvalidParam, match=f"^scenario\\.{key}: no host "
+    with pytest.raises(ConfigError, match=f"^scenario\\.{key}: no host "
                        r"\[1\] in the preset"):
         build_schedule({"kind": "sync_fanin", "n": 2, key: value}, rng(), GBPS)
