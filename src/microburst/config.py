@@ -10,8 +10,8 @@ import itertools
 from dataclasses import dataclass, field, asdict
 
 from .topology import PORT_IDS
-from .transport import NEWRENO, DCTCP
-from .units import GBPS
+from .transport import NEWRENO, DCTCP, RTO_MAX_NS
+from .units import GBPS, serialization_ns
 
 
 class ConfigError(Exception):
@@ -112,8 +112,18 @@ class RunConfig:
         for name, minimum in _COUNTS.items():
             check_int(_FIELD_PATHS.get(name, name), getattr(self, name),
                       minimum)
-        # a buffer smaller than one segment can never admit a full one
+        # once a segment's wire time exceeds the largest RTO, resends enter
+        # the sender's NIC faster than it drains them, and a drained run's
+        # length grows exponentially with its flows' segment counts
         mss = self.mss_bytes
+        wire_ns = serialization_ns(mss, self.link_rate_bps)
+        if not self.duration_ns and wire_ns > RTO_MAX_NS:
+            raise ConfigError("network.link_rate_bps",
+                              f"a drained run (duration_ns: 0) needs one "
+                              f"segment's wire time at most the largest RTO, "
+                              f"{RTO_MAX_NS} ns; {mss} B at "
+                              f"{self.link_rate_bps} bps take {wire_ns} ns")
+        # a buffer smaller than one segment can never admit a full one
         if self.buffer_bytes < mss:
             raise ConfigError("network.buffer_bytes",
                               f"must be >= mss_bytes ({mss}), "
@@ -147,6 +157,9 @@ class RunConfig:
                     or not isinstance(values, list) or not values):
                 raise ConfigError("sweep", "needs a dotted 'param' name and "
                                   "a non-empty list of 'values'")
+            if param not in _SWEEPABLE and not param.startswith("scenario."):
+                raise ConfigError("sweep", f"param {param!r} names no config "
+                                  f"field")
             if len({str(value) for value in values}) < len(values):
                 raise ConfigError("sweep.values", f"each value names an output "
                                   f"subdirectory, so no two may read alike; "
@@ -183,6 +196,8 @@ def _field_name(section, name):
 # sectioned RunConfig field -> its dotted path in the YAML file
 _FIELD_PATHS = {name: f"{section}.{name}"
                 for section, names in _SECTIONS.items() for name in names}
+# what a sweep's param may name, besides a scenario key
+_SWEEPABLE = (set(_TOP_FIELDS) - {"sweep"}) | set(_FIELD_PATHS.values())
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -346,7 +346,7 @@ _RESERVED = ("rng", "link_rate_bps", "cdf")
 def build_schedule(scenario: dict, rng, link_rate_bps):
     params = dict(scenario)
     kind = params.pop("kind", None)
-    gen = GENERATORS.get(kind)
+    gen = GENERATORS.get(kind) if isinstance(kind, str) else None
     if gen is None:
         raise ConfigError("scenario.kind", f"unknown scenario {kind!r}")
     for name in _RESERVED:

@@ -17,7 +17,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .config import PROTOCOLS, RunConfig, effective_yaml
+from .config import PROTOCOLS, ConfigError, RunConfig, effective_yaml
 from .engine import Engine
 from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
@@ -211,10 +211,17 @@ def prepare_run(cfg: RunConfig):
     cfg.validate()
     flows, queries = build_schedule(cfg.scenario, random.Random(cfg.seed),
                                     cfg.link_rate_bps)
+    if not flows:
+        raise ConfigError("scenario",
+                          f"{cfg.scenario['kind']} schedules no flow")
     if cfg.duration_ns:
         horizon = cfg.duration_ns + cfg.drain_grace_ns
     else:
         horizon = 1 << 62   # drains the event set
+    if flows[0].start_ns > horizon:   # the schedule is sorted by start
+        raise ConfigError("duration_ns", f"no flow starts by the run's end "
+                          f"at {horizon} ns; the first starts at "
+                          f"{flows[0].start_ns} ns")
     return flows, queries, horizon
 
 

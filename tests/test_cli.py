@@ -204,6 +204,10 @@ BAD_CDFS = {"letters.cdf": "abc 1.0\n", "bad_prob.cdf": "1000 x\n",
     ("sweep", "values", [4, 4], "sweep.values"),
     ("scenario:sync_fanin", "receiver", "h1", "scenario.receiver"),
     ("scenario:sync_fanin", "senders", ["h10"], "scenario.receiver"),
+    ("scenario:sync_fanin", "start_ns", 5_000_000, "duration_ns"),  # none starts
+    ("scenario", "duration_ns", 1000, "scenario"),    # an empty schedule
+    ("scenario:sync_fanin", "kind", ["sync_fanin"], "scenario.kind"),
+    ("scenario:sync_fanin", "kind", {"sync_fanin": 1}, "scenario.kind"),
 ])
 def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
                                                section, key, value, field):
@@ -225,6 +229,31 @@ def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+# one segment's wire time against the largest RTO, 10 s: past it, resends
+# enter the sender's NIC faster than it drains them, and a drained run's
+# length grows exponentially with its flows' segment counts
+@pytest.mark.parametrize("duration_ns, network, field", [
+    (0, {"link_rate_bps": 1_000}, "network.link_rate_bps"),    # 12 s
+    (0, {"link_rate_bps": 1_199}, "network.link_rate_bps"),    # 10.008 s
+    (0, {"link_rate_bps": 1_200}, None),                       # 10 s
+    (4_000_000, {"link_rate_bps": 1}, None),   # a cut run ends regardless
+    (0, {"prop_delay_ns": 2_000_000_000}, None),   # RTT 8 s: RTOs, then done
+], ids=["drained_1000", "drained_1199", "drained_1200", "cut_1", "delay_2s"])
+def test_drained_run_needs_a_segment_wire_time_within_the_largest_rto(
+        tmp_path, capsys, duration_ns, network, field):
+    raw = dict(GOOD_CONFIG, duration_ns=duration_ns, network=network,
+               scenario={"kind": "sync_fanin", "n": 2, "response_bytes": 3000})
+    out = tmp_path / "o"
+    code = main(["run", write_config(tmp_path, raw), "--out", str(out)])
+    if field:
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert "packets_sent: 0\n" not in (out / "summary.txt").read_text()
+
+
 @pytest.mark.parametrize("sweep, field", [
     ({"param": "scenario.n", "values": [2, 0, 4]}, "scenario.n"),
     ({"param": "seed.x", "values": [1]}, "sweep"),        # through a number
@@ -232,8 +261,9 @@ def test_bad_value_exits_two_before_any_output(tmp_path, capsys, monkeypatch,
     ({"param": "scenario.n", "values": []}, "sweep"),     # no point to run
     ({"param": "", "values": [1]}, "sweep"),              # no key at all
     ({"param": "scenario.", "values": [1]}, "sweep"),     # an empty key
+    ({"param": "x", "values": [1]}, "sweep"),             # no such field
 ], ids=["bad_point", "int_parent", "scenario_int_parent", "no_values",
-        "empty_param", "empty_key"])
+        "empty_param", "empty_key", "unknown_field"])
 def test_bad_sweep_exits_two_and_writes_nothing(tmp_path, capsys, sweep,
                                                 field):
     raw = dict(GOOD_CONFIG, sweep=sweep)
