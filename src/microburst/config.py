@@ -23,13 +23,14 @@ class ConfigError(Exception):
 
 
 PROTOCOLS = {
-    # name: (host algorithm, ecn capable, threshold marking, slope marking)
-    "TCP": (NEWRENO, False, False, False),         # tail drop only
-    "ECN*": (NEWRENO, True, True, False),
-    "S-ECN": (NEWRENO, True, False, True),
-    "SL-ECN": (NEWRENO, True, True, True),         # slope below K, all above
-    "DCTCP": (DCTCP, True, True, False),
-    "DCTCP+SL-ECN": (DCTCP, True, True, True),
+    # name: (host algorithm, threshold marking, slope marking); a protocol's
+    # hosts are ECN-capable exactly when its switches mark
+    "TCP": (NEWRENO, False, False),         # tail drop only
+    "ECN*": (NEWRENO, True, False),
+    "S-ECN": (NEWRENO, False, True),
+    "SL-ECN": (NEWRENO, True, True),        # slope below K, all above
+    "DCTCP": (DCTCP, True, False),
+    "DCTCP+SL-ECN": (DCTCP, True, True),
 }
 
 TELEMETRY_MODES = ("exact", "fidelity", "off")
@@ -168,9 +169,6 @@ class RunConfig:
 
     def host_algorithm(self):
         return PROTOCOLS[self.protocol][0]
-
-    def ecn_capable(self):
-        return PROTOCOLS[self.protocol][1]
 
 
 _SECTIONS = {

@@ -3,8 +3,9 @@
 Every directed link is realized as one output ``Port`` on the sending
 node: a FIFO with a byte buffer limit, a line rate, and a pluggable
 marking policy consulted at admission time.  Tail drop happens before the
-policy sees the packet; marking applies only to admitted, ECN-capable
-packets.  Host-side ports (the NIC) have no buffer limit and no policy;
+policy sees the packet; marking applies only to admitted data packets
+(a port has a policy only where the hosts are ECN-capable, and ACKs never
+are).  Host-side ports (the NIC) have no buffer limit and no policy;
 the sender's window is what bounds them.
 
 Monitored ports carry a ``PortTrace``: one exact log of queue events, from
@@ -156,7 +157,10 @@ class Port:
             return
         marked = False
         policy = self.policy
-        if policy is not None and policy.decide(qb, size, now) and pkt.ecn_capable:
+        # decide sees every arrival; only data is marked, since a port has
+        # a policy only where the hosts are ECN-capable, and an ACK never is
+        if (policy is not None and policy.decide(qb, size, now)
+                and pkt.kind == DATA):
             pkt.ecn_marked = True
             marked = True
             self.marks += 1

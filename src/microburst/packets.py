@@ -16,18 +16,17 @@ class Packet:
     """
 
     __slots__ = ("flow_id", "kind", "size", "seq_lo", "seq_hi", "ack_no",
-                 "ecn_capable", "ecn_marked", "ece_echo", "cwr",
-                 "first_window", "send_round", "route", "hop")
+                 "ecn_marked", "ece_echo", "cwr", "first_window",
+                 "send_round", "route", "hop")
 
     def __init__(self, flow_id, kind, size, route,
-                 seq_lo=0, seq_hi=0, ack_no=0, ecn_capable=False):
+                 seq_lo=0, seq_hi=0, ack_no=0):
         self.flow_id = flow_id
         self.kind = kind
         self.size = size
         self.seq_lo = seq_lo
         self.seq_hi = seq_hi
         self.ack_no = ack_no
-        self.ecn_capable = ecn_capable
         self.ecn_marked = False
         self.ece_echo = False
         self.cwr = False

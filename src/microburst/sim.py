@@ -29,7 +29,7 @@ from .transport import Sender, Receiver, DCTCP
 
 def _make_policy(cfg: RunConfig):
     """A fresh marking policy for one switch port; None never marks."""
-    threshold, slope = PROTOCOLS[cfg.protocol][2:]
+    threshold, slope = PROTOCOLS[cfg.protocol][1:]
     if slope:
         return SlopeEcn(cfg.link_rate_bps,
                         cfg.ecn_threshold_bytes if threshold else None)

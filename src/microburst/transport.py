@@ -28,8 +28,8 @@ class Sender:
     """One flow's sending endpoint and congestion-control state machine."""
 
     __slots__ = ("flow", "flow_id", "total", "annotate", "engine", "route",
-                 "algo", "ecn_capable", "pacing", "mss", "iw_bytes",
-                 "max_cwnd", "rto_min_ns", "dctcp_gain",
+                 "algo", "pacing", "mss", "iw_bytes", "max_cwnd",
+                 "rto_min_ns", "dctcp_gain",
                  "cwnd", "ssthresh", "next_seq", "highest_acked", "dupacks",
                  "in_recovery", "recover", "cut_seq", "cwr_pending", "ca_credit",
                  "alpha", "win_end", "win_acked", "win_marked",
@@ -45,7 +45,6 @@ class Sender:
         self.engine = engine
         self.route = route
         self.algo = cfg.host_algorithm()
-        self.ecn_capable = cfg.ecn_capable()
         self.pacing = cfg.pacing
         self.mss = mss = cfg.mss_bytes
         self.iw_bytes = cfg.initial_window_packets * mss
@@ -100,7 +99,7 @@ class Sender:
 
     def _emit(self, seq_lo, size, now, retransmit):
         pkt = Packet(self.flow_id, DATA, size, self.route, seq_lo,
-                     seq_lo + size, 0, self.ecn_capable)
+                     seq_lo + size)
         if self.cwr_pending:
             pkt.cwr = True
             self.cwr_pending = False

@@ -15,11 +15,8 @@ def make_port(engine, sink, buffer_limit=None, policy=None, rate=GBPS):
                 deliver_fn=lambda now, pkt: sink.append((now, pkt)))
 
 
-def data_pkt(size=1500, flow=0, ecn=True, seq=0):
-    pkt = Packet(flow, DATA, size, None, seq_lo=seq, seq_hi=seq + size,
-                 ecn_capable=ecn)
-    pkt.route = ()
-    return pkt
+def data_pkt(size=1500, flow=0, seq=0):
+    return Packet(flow, DATA, size, (), seq_lo=seq, seq_hi=seq + size)
 
 
 def test_tail_drop_on_overflow():
@@ -54,15 +51,15 @@ def test_threshold_policy_marks_above_threshold():
     assert pkt.ecn_marked is True
 
 
-def test_mark_requires_ecn_capable():
+def test_ack_is_never_marked():
     engine = Engine()
     sink = []
     port = make_port(engine, sink, buffer_limit=512_000,
                      policy=ThresholdEcn(32_000))
     port.queue_bytes = 40_000
-    pkt = data_pkt(ecn=False)
+    pkt = Packet(0, ACK, 64, ())
     port.enqueue(pkt, 0)
-    assert (port.queue_bytes, port.drops, port.marks) == (41_500, 0, 0)
+    assert (port.queue_bytes, port.drops, port.marks) == (40_064, 0, 0)
     assert pkt.ecn_marked is False
 
 
@@ -259,12 +256,12 @@ class TeeTrace:
 
 
 # (ns after the previous arrival, ACK instead of data, flow id, data size,
-# ECN capable, first window, send round or -1 for unannotated): zero gaps
-# and mostly data make bursts that overflow the 3 KB buffer
+# first window, send round or -1 for unannotated): zero gaps and mostly
+# data make bursts that overflow the 3 KB buffer
 _ARRIVAL = st.tuples(
     st.sampled_from((0, 0, 0, 500, 4_000, 12_000, 30_000)),
     st.sampled_from((False, False, True)),
-    st.integers(0, 5), st.integers(64, 1500), st.booleans(), st.booleans(),
+    st.integers(0, 5), st.integers(64, 1500), st.booleans(),
     st.integers(-1, 3))
 
 
@@ -282,12 +279,12 @@ def test_single_log_matches_three_store_reference(arrivals, fidelity):
     new, ref = PortTrace("p", fidelity), ThreeStoreTrace("p", fidelity)
     port.trace = TeeTrace(new, ref)
     t = 0
-    for gap, is_ack, flow, size, ecn, first_window, rnd in arrivals:
+    for gap, is_ack, flow, size, first_window, rnd in arrivals:
         t += gap
         if is_ack:
             pkt = Packet(flow, ACK, 64, ())
         else:
-            pkt = Packet(flow, DATA, size, (), ecn_capable=ecn)
+            pkt = Packet(flow, DATA, size, ())
             pkt.first_window = first_window and rnd >= 0
             pkt.send_round = rnd
         engine.schedule(t, _arrive, (port, pkt))

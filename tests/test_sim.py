@@ -543,17 +543,17 @@ def test_protocol_sets_the_policy_of_every_switch_port(protocol):
     assert len(set(map(id, switch_policies))) == len(switch_policies)
 
 
-@pytest.mark.parametrize("protocol, algo, ecn", [("TCP", NEWRENO, False),
-                                                 ("DCTCP", DCTCP, True)])
+@pytest.mark.parametrize("protocol, algo", [("TCP", NEWRENO),
+                                            ("DCTCP", DCTCP)])
 def test_every_transport_field_reaches_a_started_sender(monkeypatch, protocol,
-                                                       algo, ecn):
+                                                       algo):
     seen = []
 
     class SeenSender(Sender):
         def start(self, now):
-            seen.append((self.algo, self.ecn_capable, self.pacing, self.mss,
-                         self.dctcp_gain, self.cwnd, self.ssthresh, self.alpha,
-                         self.srtt, self.rto))
+            seen.append((self.algo, self.pacing, self.mss, self.dctcp_gain,
+                         self.cwnd, self.ssthresh, self.alpha, self.srtt,
+                         self.rto))
             super().start(now)
 
     monkeypatch.setattr(sim, "Sender", SeenSender)
@@ -563,5 +563,5 @@ def test_every_transport_field_reaches_a_started_sender(monkeypatch, protocol,
         mss_bytes=1000, initial_window_packets=2, max_cwnd_packets=40,
         rto_min_ns=5_000_000, dctcp_gain=0.25, dctcp_alpha0=0.5,
         pacing=True, initial_rtt_ns=80_000))
-    assert seen == [(algo, ecn, True, 1000, 0.25, 2000, 40_000, 0.5,
-                     80_000, 5_000_000)] * 2
+    assert seen == [(algo, True, 1000, 0.25, 2000, 40_000, 0.5, 80_000,
+                     5_000_000)] * 2

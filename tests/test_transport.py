@@ -224,7 +224,7 @@ def test_receiver_sticky_ece_until_cwr(one_link):
     from microburst.packets import DATA
     net = one_link()
     r = net.receiver
-    marked = Packet(0, DATA, MSS, (), seq_lo=0, seq_hi=MSS, ecn_capable=True)
+    marked = Packet(0, DATA, MSS, (), seq_lo=0, seq_hi=MSS)
     marked.ecn_marked = True
     r.on_data(marked, 0)
     assert r.sticky_ece is True
@@ -243,7 +243,7 @@ def test_dctcp_receiver_exact_echo(one_link):
     r = net.receiver
     stub = StubPort()
     r.route = (stub,)
-    marked = Packet(0, DATA, MSS, (), seq_lo=0, seq_hi=MSS, ecn_capable=True)
+    marked = Packet(0, DATA, MSS, (), seq_lo=0, seq_hi=MSS)
     marked.ecn_marked = True
     r.on_data(marked, 0)
     clean = Packet(0, DATA, MSS, (), seq_lo=MSS, seq_hi=2 * MSS)
