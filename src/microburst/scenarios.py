@@ -177,12 +177,12 @@ def gen_incast(n, mode="fixed_response", response_bytes=64_000,
         if total_bytes < n:   # every flow needs at least one byte
             raise ConfigError("scenario.total_bytes",
                               f"must be >= n ({n}), got {total_bytes!r}")
-        base = total_bytes // n
-        sizes = [base + total_bytes % n] + [base] * (n - 1)
+        size = total_bytes // n
+        first = size + total_bytes % n
     else:
-        sizes = [response_bytes] * n
+        size = first = response_bytes
     flows = [FlowSpec(i, FANIN_SENDERS[i % len(FANIN_SENDERS)], FANIN_RECEIVER,
-                      sizes[i], start_ns, query_id=0)
+                      size if i else first, start_ns, query_id=0)
              for i in range(n)]
     return _sorted(flows), [QuerySpec(0, start_ns)]
 
