@@ -4,6 +4,10 @@ All generators are pure functions of their parameters and the run's seeded
 generator, so a (config, seed) pair always yields the same schedule.  The
 12-host preset fixes the roles: h10 is the fan-in receiver / query master,
 h11 and h12 absorb background flows, and the remaining hosts send.
+
+Every rejection, of a scenario key, a size CDF or a built schedule, is a
+``config.ConfigError`` naming ``scenario.<key>``, or ``scenario`` for the
+schedule as a whole.
 """
 
 import bisect

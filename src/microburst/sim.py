@@ -3,6 +3,9 @@ starts each flow of the sorted schedule when its time comes; audits the end
 state, builds the run totals and query completions from the flows and
 ports, and writes the CSV outputs.
 
+``prepare_run`` makes every check of a run before its first event;
+``run_simulation`` and the CLI's check of every sweep point both call it.
+
 The schedule's flow objects are the run's flow records.  A flow waits in
 the schedule, not in the engine, until it starts; its endpoints are built
 then, from the flow and the run's config, and hold the flow, so its outcome
@@ -206,8 +209,8 @@ def _audit(net, engine, flows, summary):
 
 def prepare_run(cfg: RunConfig):
     """``(flows, queries, horizon)`` of a run: validates ``cfg``, builds its
-    schedule and works out the time its loop runs to.  Every check made
-    before a run's first event is made here."""
+    schedule, works out the time its loop runs to, and rejects a schedule
+    that starts no flow by then."""
     cfg.validate()
     flows, queries = build_schedule(cfg.scenario, random.Random(cfg.seed),
                                     cfg.link_rate_bps)
