@@ -120,9 +120,9 @@ class RunConfig:
         wire_ns = serialization_ns(mss, self.link_rate_bps)
         if not self.duration_ns and wire_ns > RTO_MAX_NS:
             raise ConfigError("network.link_rate_bps",
-                              f"a drained run (duration_ns: 0) needs one "
-                              f"segment's wire time at most the largest RTO, "
-                              f"{RTO_MAX_NS} ns; {mss} B at "
+                              f"a drained run (duration_ns: 0) needs a "
+                              f"segment's wire time of at most the largest "
+                              f"RTO, {RTO_MAX_NS} ns; {mss} B at "
                               f"{self.link_rate_bps} bps take {wire_ns} ns")
         # a buffer smaller than one segment can never admit a full one
         if self.buffer_bytes < mss:

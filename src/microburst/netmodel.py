@@ -157,8 +157,7 @@ class Port:
             return
         marked = False
         policy = self.policy
-        # decide sees every arrival; only data is marked, since a port has
-        # a policy only where the hosts are ECN-capable, and an ACK never is
+        # decide sees every arrival, ACKs too; only data is marked
         if (policy is not None and policy.decide(qb, size, now)
                 and pkt.kind == DATA):
             pkt.ecn_marked = True

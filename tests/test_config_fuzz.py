@@ -30,8 +30,8 @@ BASES = {os.path.basename(path): read_yaml(path) for path in sorted(
     glob.glob(os.path.join(HERE, os.pardir, "configs", "*.yaml")))}
 BASES.update(CASES)
 
-# wrong types, 0, -1, a huge value (past any list length, so no generator
-# allocates it), a float and null
+# wrong types, 0, -1, a huge value (2**63 is past the largest list length,
+# so no list sized by it can fill memory), a float and null
 VALUES = ("x", [1], {"a": 1}, 0, -1, 2 ** 63, 1.5, None)
 UNKNOWN = "bogus"
 
@@ -76,6 +76,7 @@ KNOWN_PATHS = ({"scenario", "sweep", "sweep.values"}
 
 
 def _mutate(raw, path, value):
+    """A copy of ``raw`` with its dotted ``path`` set to ``value``."""
     raw = {key: dict(sub) if isinstance(sub, dict) else sub
            for key, sub in raw.items()}
     *parents, key = path.split(".")
