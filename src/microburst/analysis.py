@@ -6,11 +6,14 @@ run, not from change-point inference: the first growth phase ends when the
 last first-window packet reaches the monitored port, and the second ends
 at the first congestion reaction (drop at the port or mark-induced window
 cut), falling back to the time the queue peaks.
+
+Traces hold integer nanoseconds and bytes, so slopes and variances are
+computed from exact integer sums with one rounding at the final division.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul, sub
 
 from .netmodel import DROP
 from .units import NS_PER_S
@@ -20,24 +23,32 @@ class InsufficientData(Exception):
     """Too few trace samples in the requested window."""
 
 
+class _SampleTimes(list):
+    """Sorted sample times with numpy's ``searchsorted`` lookup, which the
+    traced benchmark uses to count the samples of each ``fit_slope`` window."""
+
+    def searchsorted(self, value, side="left"):
+        return (bisect_right if side == "right" else bisect_left)(self, value)
+
+
 @dataclass
 class QueueTrace:
     """Time-ordered occupancy samples of one port plus annotations."""
     port_id: str
-    times: np.ndarray          # ns, post-event sample times
-    occupancy: np.ndarray      # bytes after each event
+    times: list                # ns, post-event sample times, sorted
+    occupancy: list            # bytes after each event
     annotations: object        # the recording PortTrace
 
     @classmethod
     def from_port_trace(cls, pt):
         # one sample per enqueue and dequeue; a drop leaves the queue as is
         kept = [event for event in pt.log if event[4] != DROP]
-        return cls(pt.port_id, np.array([e[0] for e in kept], dtype=np.int64),
-                   np.array([e[2] for e in kept], dtype=np.int64), pt)
+        return cls(pt.port_id, _SampleTimes([e[0] for e in kept]),
+                   [e[2] for e in kept], pt)
 
     def occupancy_at(self, t_ns):
-        idx = np.searchsorted(self.times, t_ns, side="right") - 1
-        return 0 if idx < 0 else int(self.occupancy[idx])
+        idx = bisect_right(self.times, t_ns) - 1
+        return 0 if idx < 0 else self.occupancy[idx]
 
 
 @dataclass
@@ -52,21 +63,21 @@ class Phase:
 class PhaseReport:
     phase1: Phase
     phase2: Phase              # None when the burst ends before phase 2
-    later_phases: list
 
 
 def fit_slope(trace: QueueTrace, window) -> float:
     """Least-squares slope of queue length over [start, end], in bits/s."""
     start, end = window
-    lo = np.searchsorted(trace.times, start, side="left")
-    hi = np.searchsorted(trace.times, end, side="right")
-    t = trace.times[lo:hi].astype(np.float64)
-    q = trace.occupancy[lo:hi].astype(np.float64)
-    if len(t) < 2 or t[0] == t[-1]:
-        raise InsufficientData(f"{len(t)} samples in window {window}")
-    t -= t.mean()
-    q -= q.mean()
-    slope_bytes_per_ns = float(np.dot(t, q) / np.dot(t, t))
+    lo = bisect_left(trace.times, start)
+    hi = bisect_right(trace.times, end)
+    t = trace.times[lo:hi]
+    q = trace.occupancy[lo:hi]
+    n = len(t)
+    if n < 2 or t[0] == t[-1]:
+        raise InsufficientData(f"{n} samples in window {window}")
+    sum_t, sum_q = sum(t), sum(q)
+    slope_bytes_per_ns = ((n * sum(map(mul, t, q)) - sum_t * sum_q)
+                          / (n * sum(map(mul, t, t)) - sum_t * sum_t))
     return slope_bytes_per_ns * 8.0 * NS_PER_S
 
 
@@ -119,12 +130,12 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
         candidates.append(ann.first_drop_ns)
     if first_cut_ns is not None and first_cut_ns > p1_end:
         candidates.append(first_cut_ns)
-    lo = np.searchsorted(trace.times, p1_end, side="right")
+    lo = bisect_right(trace.times, p1_end)
     if lo < len(trace.times):
-        peak = lo + int(np.argmax(trace.occupancy[lo:]))
+        top = max(trace.occupancy[lo:])
         # growth stop counts only if the queue actually kept growing
-        if trace.occupancy[peak] > trace.occupancy_at(p1_end):
-            candidates.append(int(trace.times[peak]))
+        if top > trace.occupancy_at(p1_end):
+            candidates.append(trace.times[trace.occupancy.index(top, lo)])
     phase2 = None
     if candidates:
         p2_end = min(candidates)
@@ -133,49 +144,64 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
         except InsufficientData:
             phase2 = None
 
-    # later growth phases: arrival spans of the following send rounds,
-    # separated by the pauses while each round's ACKs travel back
+    return PhaseReport(phase1, phase2)
+
+
+def later_phases(trace: QueueTrace) -> list:
+    """Growth phases after the first: the arrival spans of the following
+    send rounds (up to 16), separated by the pauses while each round's ACKs
+    travel back."""
+    spans = trace.annotations.round_spans
     later = []
-    for rnd in sorted(r for r in ann.round_spans if r != 0)[:16]:
-        lo_ns, hi_ns = ann.round_spans[rnd]
+    for rnd in sorted(r for r in spans if r != 0)[:16]:
+        lo_ns, hi_ns = spans[rnd]
         try:
-            later.append(Phase(lo_ns, hi_ns,
-                               fit_slope(trace, (lo_ns, hi_ns))))
+            later.append(Phase(lo_ns, hi_ns, fit_slope(trace, (lo_ns, hi_ns))))
         except InsufficientData:
             continue
-    return PhaseReport(phase1, phase2, later)
+    return later
 
 
 def slope_distribution(slopes_bps) -> dict:
     """Sorted slopes with mean and coefficient of variation."""
     if len(slopes_bps) == 0:
         raise InsufficientData("no slopes")
-    arr = np.sort(np.asarray(slopes_bps, dtype=np.float64))
-    mean = float(arr.mean())
-    cv = float(arr.std() / mean) if mean else float("inf")
-    return {"slopes_bps": arr, "mean_bps": mean, "cv": cv}
+    ordered = sorted(map(float, slopes_bps))
+    n = len(ordered)
+    mean = sum(ordered) / n
+    std = (sum((s - mean) ** 2 for s in ordered) / n) ** 0.5
+    cv = std / mean if mean else float("inf")
+    return {"slopes_bps": ordered, "mean_bps": mean, "cv": cv}
 
 
 def time_weighted_stddev(trace: QueueTrace, t0_ns, t1_ns) -> float:
     """Stddev of the queue-length step function over [t0, t1], bytes."""
     if t1_ns <= t0_ns:
         raise InsufficientData("empty stddev window")
-    lo = np.searchsorted(trace.times, t0_ns, side="right")
-    hi = np.searchsorted(trace.times, t1_ns, side="right")
-    times = np.concatenate(([t0_ns], trace.times[lo:hi], [t1_ns])).astype(np.float64)
-    start_occ = trace.occupancy_at(t0_ns)
-    occ = np.concatenate(([start_occ], trace.occupancy[lo:hi])).astype(np.float64)
-    widths = np.diff(times)
-    total = widths.sum()
-    if total <= 0:
-        raise InsufficientData("empty stddev window")
-    mean = float((occ * widths).sum() / total)
-    var = float((widths * (occ - mean) ** 2).sum() / total)
-    return var ** 0.5
+    lo = bisect_right(trace.times, t0_ns)
+    hi = bisect_right(trace.times, t1_ns)
+    times = [t0_ns, *trace.times[lo:hi], t1_ns]
+    occ = [trace.occupancy_at(t0_ns), *trace.occupancy[lo:hi]]
+    weighted = list(map(mul, map(sub, times[1:], times), occ))
+    total = t1_ns - t0_ns
+    first, second = sum(weighted), sum(map(mul, weighted, occ))
+    return ((total * second - first * first) / (total * total)) ** 0.5
 
 
 def _percentile(values, pct):
-    return float(np.percentile(np.asarray(values, dtype=np.float64), pct))
+    """``numpy.percentile``'s default linear method, bit for bit."""
+    ordered = sorted(values)
+    index = (len(ordered) - 1) * (pct / 100)
+    lo = int(index)
+    if lo >= len(ordered) - 1:
+        return float(ordered[-1])
+    below, above = float(ordered[lo]), float(ordered[lo + 1])
+    gamma = index - lo
+    diff = above - below
+    # numpy's lerp: from the nearer end, so gamma 1 gives exactly ``above``
+    if gamma >= 0.5:
+        return above - diff * (1 - gamma)
+    return below + diff * gamma
 
 
 def compute_metrics(result) -> dict:
@@ -207,14 +233,14 @@ def compute_metrics(result) -> dict:
 
     if completed:
         fcts = [f.end_ns - f.start_ns for f in completed]
-        metrics["fct_mean_ns"] = int(np.mean(fcts))
+        metrics["fct_mean_ns"] = int(sum(fcts) / len(fcts))
         metrics["fct_p99_ns"] = int(_percentile(fcts, 99))
 
     qcts = [qct for _, _, _, qct in result.query_completions() if qct is not None]
     if qcts:
         metrics["queries_total"] = len(result.queries)
         metrics["queries_completed"] = len(qcts)
-        metrics["qct_mean_ns"] = int(np.mean(qcts))
+        metrics["qct_mean_ns"] = int(sum(qcts) / len(qcts))
         metrics["qct_p99_ns"] = int(_percentile(qcts, 99))
 
     for port_id in sorted(result.ports):
@@ -224,7 +250,7 @@ def compute_metrics(result) -> dict:
 
     for port_id in sorted(result.traces):
         trace = QueueTrace.from_port_trace(result.traces[port_id])
-        if len(trace.times) == 0:
+        if not trace.times:
             continue
         t0 = cfg.stddev_after_ns
         t1 = result.end_ns

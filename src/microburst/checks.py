@@ -6,10 +6,10 @@ A check is a plan (a base config in the sectioned schema and the axes
 each run, and a verdict: PASS/FAIL notes over the measures in plan order
 that print the measured values against the check's tolerance.
 
-numpy and ``analysis`` are imported inside the measures and verdicts that
-use them, so a check that reads no trace and no array (``incast``,
+``analysis`` is imported inside the measures and verdicts that use it, so
+a check that reads no trace and takes no percentile (``incast``,
 ``pacing``, ``overshoot``, ``suppression``, ``utilization``,
-``equivalence``) never loads numpy.
+``equivalence``) never loads it.
 """
 
 import tempfile
@@ -190,8 +190,7 @@ def _law2(result, slopes, axes):
 def _law3(result, values, axes):
     """Hidden upstream buffer: slope grows with the upstream buffer size and
     stays below 2aR/(a+R)."""
-    import numpy as np
-    means = {buffer_bytes // 1000: float(np.mean([s for s, _ in runs.values()]))
+    means = {buffer_bytes // 1000: sum(s for s, _ in runs.values()) / len(runs)
              for buffer_bytes, runs in _grid(values, axes).items()}
     bound_text = [f"{slope / 1e9:.3f}<=1.05*{bound / 1e9:.3f}"
                   for slope, bound in values]
@@ -355,18 +354,18 @@ def _pacing(result, values, axes):
 def _workload(result, values, axes):
     """Reduced-scale web-search workload: slope marking lowers query
     completion times under DCTCP hosts."""
-    import numpy as np
-    pools = {p: np.asarray([q for qcts in runs.values() for q in qcts],
-                           dtype=np.float64)
+    from .analysis import _percentile
+    pools = {p: [q for qcts in runs.values() for q in qcts]
              for p, runs in _grid(values, axes).items()}
     base, slope = pools["DCTCP"], pools["DCTCP+SL-ECN"]
-    mean_gain = 1 - slope.mean() / base.mean()
-    p99_base = float(np.percentile(base, 99))
-    p99_slope = float(np.percentile(slope, 99))
+    base_mean, slope_mean = sum(base) / len(base), sum(slope) / len(slope)
+    mean_gain = 1 - slope_mean / base_mean
+    p99_base = _percentile(base, 99)
+    p99_slope = _percentile(slope, 99)
     p99_gain = 1 - p99_slope / p99_base
-    result.note(slope.mean() < base.mean(),
-                f"mean QCT {slope.mean() / 1e6:.3f} ms < "
-                f"{base.mean() / 1e6:.3f} ms ({mean_gain * 100:.1f}% lower)")
+    result.note(slope_mean < base_mean,
+                f"mean QCT {slope_mean / 1e6:.3f} ms < "
+                f"{base_mean / 1e6:.3f} ms ({mean_gain * 100:.1f}% lower)")
     result.note(p99_slope < p99_base,
                 f"p99 QCT {p99_slope / 1e6:.3f} ms < {p99_base / 1e6:.3f} ms")
     result.note(p99_gain >= 0.05,

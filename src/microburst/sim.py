@@ -295,7 +295,8 @@ def run_plan(plan, measure):
 
 
 def write_outputs(result: RunResult, out_dir: str) -> None:
-    from .analysis import compute_metrics   # local import: analysis uses numpy
+    # local import: runs that write no outputs never load analysis
+    from .analysis import compute_metrics
 
     os.makedirs(out_dir, exist_ok=True)
     cfg = result.cfg
