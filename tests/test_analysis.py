@@ -1,23 +1,26 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from microburst.analysis import (InsufficientData, QueueTrace, fit_slope,
-                                 segment_phases, slope_distribution,
-                                 slope_upper_bound, time_weighted_stddev)
+from microburst.analysis import (InsufficientData, QueueTrace, _percentile,
+                                 fit_slope, later_phases, segment_phases,
+                                 slope_distribution, slope_upper_bound,
+                                 time_weighted_stddev)
 from microburst.config import RunConfig
 from microburst.netmodel import PortTrace
 from microburst.sim import run_simulation
 
 
 def synthetic_trace(times, occupancy):
-    return QueueTrace("syn", np.asarray(times, dtype=np.int64),
-                      np.asarray(occupancy, dtype=np.int64), PortTrace("syn"))
+    return QueueTrace("syn", list(times), list(occupancy), PortTrace("syn"))
 
 
 def test_fit_slope_exact_on_linear_trace():
     # queue grows at exactly 1 Gbps: 125 bytes per microsecond
-    times = np.arange(0, 1_000_000, 1_000)
-    occupancy = times // 8
+    times = range(0, 1_000_000, 1_000)
+    occupancy = [t // 8 for t in times]
     trace = synthetic_trace(times, occupancy)
     slope = fit_slope(trace, (0, 1_000_000))
     assert abs(slope - 1e9) / 1e9 < 1e-9
@@ -71,6 +74,97 @@ def test_time_weighted_stddev_constant_is_zero():
     assert time_weighted_stddev(trace, 0, 20) == pytest.approx(0.0)
 
 
+# -- numpy as the oracle ---------------------------------------------------------
+# The parent implementation's numpy forms: float64, centred before summing.
+# The package sums exact integers instead, so its slope and stddev may differ
+# from these by rounding, scaled to how badly conditioned the window is.
+
+def _numpy_window(times, occupancy, lo_side, start, end):
+    t = np.asarray(times, dtype=np.int64)
+    q = np.asarray(occupancy, dtype=np.int64)
+    lo = np.searchsorted(t, start, side=lo_side)
+    hi = np.searchsorted(t, end, side="right")
+    return t, q, lo, hi
+
+
+@st.composite
+def integer_traces(draw, max_size=300):
+    first = draw(st.integers(0, 10**10))
+    gaps = draw(st.lists(st.integers(0, 10_000), max_size=max_size - 1))
+    times = list(accumulate([first, *gaps]))
+    occupancy = draw(st.lists(st.integers(0, 2_000_000),
+                              min_size=len(times), max_size=len(times)))
+    return times, occupancy
+
+
+def _window_in(draw, times):
+    ends = st.integers(times[0] - 100, times[-1] + 100)
+    a, b = draw(ends), draw(ends)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_slope_matches_numpy_centred_form(data):
+    times, occupancy = data.draw(integer_traces())
+    window = _window_in(data.draw, times)
+    t, q, lo, hi = _numpy_window(times, occupancy, "left", *window)
+    tc, qc = t[lo:hi].astype(np.float64), q[lo:hi].astype(np.float64)
+    trace = synthetic_trace(times, occupancy)
+    if len(tc) < 2 or tc[0] == tc[-1]:
+        with pytest.raises(InsufficientData):
+            fit_slope(trace, window)
+        return
+    tc -= tc.mean()
+    qc -= qc.mean()
+    expected = float(np.dot(tc, qc) / np.dot(tc, tc)) * 8e9
+    scale = float(np.dot(np.abs(tc), np.abs(qc)) / np.dot(tc, tc)) * 8e9
+    assert fit_slope(trace, window) == pytest.approx(expected, rel=1e-9,
+                                                     abs=1e-9 * scale)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_time_weighted_stddev_matches_numpy_centred_form(data):
+    times, occupancy = data.draw(integer_traces())
+    t0, t1 = _window_in(data.draw, times)
+    trace = synthetic_trace(times, occupancy)
+    if t1 <= t0:
+        with pytest.raises(InsufficientData):
+            time_weighted_stddev(trace, t0, t1)
+        return
+    t, q, lo, hi = _numpy_window(times, occupancy, "right", t0, t1)
+    before = np.searchsorted(t, t0, side="right") - 1
+    start_occ = 0 if before < 0 else int(q[before])
+    edges = np.concatenate(([t0], t[lo:hi], [t1])).astype(np.float64)
+    occ = np.concatenate(([start_occ], q[lo:hi])).astype(np.float64)
+    widths = np.diff(edges)
+    mean = (occ * widths).sum() / widths.sum()
+    expected = float((widths * (occ - mean) ** 2).sum() / widths.sum()) ** 0.5
+    assert time_weighted_stddev(trace, t0, t1) == pytest.approx(
+        expected, rel=1e-9, abs=1e-9 * max(occupancy))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e6, 1e11), min_size=1, max_size=30))
+def test_slope_distribution_matches_numpy(slopes):
+    dist = slope_distribution(slopes)
+    arr = np.asarray(slopes, dtype=np.float64)
+    assert dist["slopes_bps"] == np.sort(arr).tolist()
+    assert dist["mean_bps"] == pytest.approx(float(arr.mean()), rel=1e-9)
+    assert dist["cv"] == pytest.approx(float(arr.std() / arr.mean()),
+                                       rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(st.integers(0, 10**12), min_size=1, max_size=200),
+                 st.lists(st.floats(-1e15, 1e15), min_size=1, max_size=200)),
+       st.one_of(st.integers(0, 100), st.floats(0, 100)))
+def test_percentile_equals_numpy_linear_method(values, pct):
+    expected = float(np.percentile(np.asarray(values, dtype=np.float64), pct))
+    assert _percentile(values, pct) == expected
+
+
 # -- phase segmentation on real runs -------------------------------------------
 
 def law1_result(seed=1):
@@ -120,8 +214,7 @@ def test_same_hop_scenario_has_multiple_later_phases():
                     duration_ns=40_000_000)
     res = run_simulation(cfg)
     trace = QueueTrace.from_port_trace(res.traces["root->t4"])
-    report = segment_phases(trace, res.first_ece_cut_ns)
-    assert len(report.later_phases) >= 3
+    assert len(later_phases(trace)) >= 3
 
 
 def test_phase1_slope_grows_with_fanin_count():

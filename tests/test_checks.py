@@ -85,3 +85,24 @@ def test_checks_without_traces_load_neither_numpy_nor_yaml():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_traced_runs_and_their_analysis_leave_numpy_unloaded(tmp_path):
+    """Trace analysis, a traced run's outputs and a check that fits slopes
+    and digests outputs run in plain Python: numpy stays unloaded."""
+    code = ("import sys\n"
+            "import microburst.analysis\n"
+            "from microburst import RunConfig, run_simulation, write_outputs\n"
+            "from microburst.checks import run_check\n"
+            "res = run_simulation(RunConfig(seed=1, protocol='TCP', scenario="
+            "{'kind': 'sync_fanin', 'n': 4, 'response_bytes': 100_000}))\n"
+            "write_outputs(res, sys.argv[1])\n"
+            "assert run_check('determinism').passed\n"
+            "print('numpy' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "phase2_slope_gbps[root->t4]" in (tmp_path / "metrics.csv").read_text()
+    assert done.stdout == "False\n"

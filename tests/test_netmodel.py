@@ -293,8 +293,8 @@ def test_single_log_matches_three_store_reference(arrivals, fidelity):
     assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
                                      for t, q, flow, event in ref.rows]
     qt = QueueTrace.from_port_trace(new)
-    assert qt.times.tolist() == ref.times
-    assert qt.occupancy.tolist() == ref.occupancy
+    assert qt.times == ref.times
+    assert qt.occupancy == ref.occupancy
     # the annotations segment_phases and first_window_rate read
     assert new.first_window_bytes == ref.first_window_bytes
     assert new.first_window_first_ns == ref.first_window_first_ns

@@ -5,7 +5,6 @@ import gc
 import re
 import weakref
 
-import numpy as np
 import pytest
 
 from microburst import sim
@@ -175,8 +174,8 @@ def test_telemetry_mode_changes_only_trace_csv(tmp_path):
                      {name: (tmp_path / mode / name).read_text()
                       for name in ("trace.csv", "flows.csv", "metrics.csv")})
     (exact, exact_files), (fid, fid_files) = out["exact"], out["fidelity"]
-    assert np.array_equal(exact.times, fid.times)
-    assert np.array_equal(exact.occupancy, fid.occupancy)
+    assert exact.times == fid.times
+    assert exact.occupancy == fid.occupancy
     for name in ("flows.csv", "metrics.csv"):
         assert exact_files[name] == fid_files[name]
     exact_rows, fid_rows = (files["trace.csv"].splitlines()
