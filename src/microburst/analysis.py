@@ -166,7 +166,7 @@ def slope_distribution(slopes_bps) -> dict:
     """Sorted slopes with mean and coefficient of variation."""
     if len(slopes_bps) == 0:
         raise InsufficientData("no slopes")
-    ordered = sorted(map(float, slopes_bps))
+    ordered = sorted(slopes_bps)
     n = len(ordered)
     mean = sum(ordered) / n
     std = (sum((s - mean) ** 2 for s in ordered) / n) ** 0.5

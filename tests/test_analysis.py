@@ -75,9 +75,9 @@ def test_time_weighted_stddev_constant_is_zero():
 
 
 # -- numpy as the oracle ---------------------------------------------------------
-# The parent implementation's numpy forms: float64, centred before summing.
-# The package sums exact integers instead, so its slope and stddev may differ
-# from these by rounding, scaled to how badly conditioned the window is.
+# The references are numpy's float64 forms, centred before summing.  The
+# package sums exact integers instead, so its slope and stddev may differ from
+# them by rounding, which grows with how badly conditioned the window is.
 
 def _numpy_window(times, occupancy, lo_side, start, end):
     t = np.asarray(times, dtype=np.int64)
