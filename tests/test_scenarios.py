@@ -1,9 +1,12 @@
+import hashlib
+import os
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from microburst import scenarios
-from microburst.config import ConfigError
+from microburst.config import ConfigError, load_config
 from microburst.scenarios import (build_schedule, cdf_mean, gen_async_fanin,
                                   gen_background_prev_hop,
                                   gen_background_same_hop, gen_incast,
@@ -188,6 +191,16 @@ def test_cdf_rejects_non_increasing(tmp_path):
         load_size_cdf(str(bad))
 
 
+def test_cdf_ending_just_below_one_samples_the_largest_size(tmp_path):
+    class Draw:   # an rng whose one draw lies above the final probability
+        def random(self):
+            return 0.9999999998
+
+    short = tmp_path / "short.cdf"
+    short.write_text("1000 0.5\n2000 0.9999999995\n")
+    assert sample_size(load_size_cdf(str(short)), Draw()) == 2000
+
+
 def test_cdf_sampling_deterministic():
     cdf = load_size_cdf()
     a = [sample_size(cdf, rng(3)) for _ in range(5)]
@@ -246,7 +259,97 @@ def test_websearch_deterministic():
     assert a == b and len(qa) == len(qb)
 
 
+WEBSEARCH_YAML = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "websearch.yaml")
+
+# sha256 over the flows and queries of configs/websearch.yaml, per seed
+WEBSEARCH_DIGESTS = {
+    1: "00924adf571346ac8aa4c72983fd6a3121a528f9da81ff569aa14ed48437acce",
+    11: "f4f58b0619dc682b258c6020f50f829c6742eeee4487b1041280cfe3ef4dcb9a",
+}
+
+
+def schedule_digest(flows, queries):
+    h = hashlib.sha256()
+    for f in flows:
+        h.update(f"{f.flow_id} {f.src} {f.dst} {f.size_bytes} {f.start_ns} "
+                 f"{f.query_id} {f.burst}\n".encode())
+    for q in queries:
+        h.update(f"q {q.query_id} {q.issue_ns}\n".encode())
+    return h.hexdigest()
+
+
+def test_websearch_config_schedule_is_pinned():
+    cfg = load_config(WEBSEARCH_YAML)
+    digests = {}
+    for seed in WEBSEARCH_DIGESTS:
+        flows, queries = build_schedule(cfg.scenario, rng(seed),
+                                        cfg.link_rate_bps)
+        if seed == 1:
+            assert len(flows) == 27_621
+        digests[seed] = schedule_digest(flows, queries)
+    assert digests == WEBSEARCH_DIGESTS
+
+
 # -- schedule validation and dispatch ------------------------------------------
+
+# valid parameters of every scenario kind, small enough to build quickly
+_times = st.integers(0, 2_000_000)
+_jitters = st.sampled_from([0, 1, 20_000])   # 0 makes every start tie
+_bytes = st.integers(1, 2_000_000)
+KIND_PARAMS = {
+    "sync_fanin": st.fixed_dictionaries({
+        "n": st.integers(1, 40), "response_bytes": _bytes,
+        "start_ns": _times, "jitter_ns": _jitters}),
+    "async_fanin": st.fixed_dictionaries({
+        "n": st.integers(1, 40), "window_ns": _jitters,
+        "response_bytes": _bytes, "start_ns": _times}),
+    **{kind: st.fixed_dictionaries({
+        "background_count": st.integers(1, 5), "fanin_count": st.integers(1, 20),
+        "response_bytes": _bytes, "delay_ns": _times,
+        "background_bytes": _bytes, "jitter_ns": _jitters})
+       for kind in ("background_same_hop", "background_prev_hop")},
+    "one_background": st.fixed_dictionaries({
+        "fanin_count": st.integers(1, 20), "response_bytes": _bytes,
+        "delay_ns": _times, "background_bytes": _bytes,
+        "jitter_ns": _jitters}),
+    "incast": st.integers(1, 40).flatmap(lambda n: st.fixed_dictionaries({
+        "n": st.just(n),
+        "mode": st.sampled_from(["fixed_response", "fixed_total"]),
+        "response_bytes": _bytes, "total_bytes": st.integers(n, 2_000_000),
+        "start_ns": _times})),
+    "websearch": st.fixed_dictionaries({
+        "load": st.floats(0.01, 0.99),
+        "duration_ns": st.integers(1, 20_000_000),
+        "query_fraction": st.floats(0.01, 0.99),
+        "query_bytes": st.integers(11_000, 200_000)}),
+    "long_flow_batches": st.fixed_dictionaries({
+        "batch": st.integers(1, 6), "interval_ns": _times,
+        "batches": st.integers(1, 5), "flow_bytes": _bytes}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(scenarios.GENERATORS))
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_every_kind_numbers_flows_densely_in_start_then_id_order(
+        kind, data, seed):
+    params = data.draw(KIND_PARAMS[kind], label="params")
+    flows, _ = build_schedule(dict(params, kind=kind), rng(seed), GBPS)
+    assert sorted(f.flow_id for f in flows) == list(range(len(flows)))
+    keys = [(f.start_ns, f.flow_id) for f in flows]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("flows, message", [
+    ([FlowSpec(0, "h1", "h2", 0, 0)], "flow 0: non-positive size"),
+    ([FlowSpec(0, "h1", "h2", 100, -1)], "flow 0: negative start"),
+    ([FlowSpec(0, "h1", "h2", 100, 5), FlowSpec(1, "h2", "h3", 100, 4)],
+     "schedule not sorted by start time"),
+], ids=["size", "start", "unsorted"])
+def test_validate_rejects_a_malformed_schedule(flows, message):
+    with pytest.raises(ConfigError, match=f"^scenario: {message}$"):
+        validate_schedule(flows)
+
 
 def test_validate_rejects_same_endpoints():
     with pytest.raises(ConfigError):
