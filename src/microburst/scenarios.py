@@ -296,9 +296,8 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
     query_rate = query_fraction * target_bytes / query_bytes / duration_ns
     bg_rate = (1 - query_fraction) * target_bytes / cdf_mean(cdf) / duration_ns
 
-    fanin = len(responders)
-    per_slave = query_bytes // fanin
-    sizes = [query_bytes - per_slave * (fanin - 1)] + [per_slave] * (fanin - 1)
+    per_slave, remainder = divmod(query_bytes, len(responders))
+    sizes = [per_slave + remainder] + [per_slave] * (len(responders) - 1)
 
     flows = []
     queries = []
@@ -310,8 +309,8 @@ def gen_websearch(load, duration_ns, rng, link_rate_bps=1_000_000_000,
         issue = int(t)
         qid = len(queries)
         fid = len(flows)
-        # positional: a keyword FlowSpec call costs about half as much again
-        flows += map(FlowSpec, range(fid, fid + fanin), responders,
+        # positional arguments: a keyword FlowSpec call costs half as much again
+        flows += map(FlowSpec, range(fid, fid + len(sizes)), responders,
                      repeat(master), sizes, repeat(issue), repeat(qid))
         queries.append(QuerySpec(qid, issue))
 
