@@ -12,7 +12,7 @@ computed from exact integer sums with one rounding at the final division.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul, sub
 
 from .netmodel import DROP
@@ -31,13 +31,12 @@ class _SampleTimes(list):
         return (bisect_right if side == "right" else bisect_left)(self, value)
 
 
-@dataclass
-class QueueTrace:
-    """Time-ordered occupancy samples of one port plus annotations."""
-    port_id: str
-    times: list                # ns, post-event sample times, sorted
-    occupancy: list            # bytes after each event
-    annotations: object        # the recording PortTrace
+class QueueTrace(namedtuple("QueueTrace",
+                            "port_id times occupancy annotations")):
+    """Time-ordered occupancy samples of one port plus annotations: sorted
+    post-event ``times`` in ns, the bytes queued after each event, and the
+    recording PortTrace."""
+    __slots__ = ()
 
     @classmethod
     def from_port_trace(cls, pt):
@@ -51,18 +50,10 @@ class QueueTrace:
         return 0 if idx < 0 else self.occupancy[idx]
 
 
-@dataclass
-class Phase:
-    start_ns: int
-    end_ns: int
-    slope_bps: float
-    height_bytes: int = 0
-
-
-@dataclass
-class PhaseReport:
-    phase1: Phase
-    phase2: Phase              # None when the burst ends before phase 2
+Phase = namedtuple("Phase", "start_ns end_ns slope_bps height_bytes",
+                   defaults=(0,))
+# phase2 is None when the burst ends before phase 2
+PhaseReport = namedtuple("PhaseReport", "phase1 phase2")
 
 
 def fit_slope(trace: QueueTrace, window) -> float:

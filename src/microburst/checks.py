@@ -9,13 +9,11 @@ that print the measured values against the check's tolerance.
 ``analysis`` is imported inside the measures and verdicts that use it, so
 a check that reads no trace and takes no percentile (``incast``,
 ``pacing``, ``overshoot``, ``suppression``, ``utilization``,
-``equivalence``) never loads it.
+``equivalence``) never loads it; ``hashlib``, ``tempfile`` and
+``pathlib`` load only when ``determinism`` digests its outputs.
 """
 
-import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, field
-from pathlib import Path
 
 from .config import DEFAULT_MONITOR_PORT as PORT, expand
 from .marking import SlopeEcn, mark_probability_from_arrival
@@ -23,11 +21,11 @@ from .sim import run_plan, write_outputs
 from .units import GBPS
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    lines: list = field(default_factory=list)
+    """A check's verdict: whether every note passed, and the notes."""
+
+    def __init__(self, name, passed):
+        self.name, self.passed, self.lines = name, passed, []
 
     def note(self, ok, text):
         self.passed = self.passed and bool(ok)
@@ -134,7 +132,9 @@ _OUTPUTS = ("trace.csv", "metrics.csv", "flows.csv", "summary.txt")
 
 def _output_digests(res):
     """sha256 of each output file the run writes."""
-    import hashlib   # local import: loading OpenSSL adds ~4 ms to every import
+    import hashlib
+    import tempfile
+    from pathlib import Path
     with tempfile.TemporaryDirectory() as tmp:
         write_outputs(res, tmp)
         return {name: hashlib.sha256(Path(tmp, name).read_bytes()).hexdigest()

@@ -7,7 +7,6 @@ every switch port.
 
 import copy
 import itertools
-from dataclasses import dataclass, field, asdict
 
 from .topology import PORT_IDS
 from .transport import NEWRENO, DCTCP, RTO_MAX_NS
@@ -63,40 +62,48 @@ def check_int(path, value, minimum):
                                 f"got {value!r}")
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    protocol: str
-    scenario: dict
-    duration_ns: int = 0           # 0: run until the event set drains
-
+# every RunConfig field after seed, protocol and scenario, and its default
+_DEFAULTS = {
+    "duration_ns": 0,              # 0: run until the event set drains
     # network
-    link_rate_bps: int = GBPS
-    prop_delay_ns: int = 0
-    hop_proc_ns: int = 0
-    buffer_bytes: int = 512_000
-    tor_uplink_buffer_bytes: int = None
-
+    "link_rate_bps": GBPS, "prop_delay_ns": 0, "hop_proc_ns": 0,
+    "buffer_bytes": 512_000, "tor_uplink_buffer_bytes": None,
     # switch marking
-    ecn_threshold_bytes: int = 32_000
-
+    "ecn_threshold_bytes": 32_000,
     # transport
-    mss_bytes: int = 1500
-    initial_window_packets: int = 3
-    max_cwnd_packets: int = 64
-    rto_min_ns: int = 10_000_000
-    dctcp_gain: float = 0.125
-    dctcp_alpha0: float = 1.0
-    pacing: bool = False
-    initial_rtt_ns: int = 50_000
-
+    "mss_bytes": 1500, "initial_window_packets": 3, "max_cwnd_packets": 64,
+    "rto_min_ns": 10_000_000, "dctcp_gain": 0.125, "dctcp_alpha0": 1.0,
+    "pacing": False, "initial_rtt_ns": 50_000,
     # telemetry / metrics
-    telemetry_mode: str = "exact"
-    telemetry_ports: list = field(default_factory=lambda: [DEFAULT_MONITOR_PORT])
-    stddev_after_ns: int = 2_000_000
-    drain_grace_ns: int = 0        # extra time past duration for in-flight data
+    "telemetry_mode": "exact",
+    "telemetry_ports": None,       # each config gets a fresh list
+    "stddev_after_ns": 2_000_000,
+    "drain_grace_ns": 0,           # extra time past duration for in-flight data
+    "sweep": None,                 # optional {param: dotted.path, values: [...]}
+}
 
-    sweep: dict = None             # optional {param: dotted.path, values: [...]}
+
+class RunConfig:
+    """One run's settings: ``seed``, ``protocol`` and ``scenario``, then any
+    field of ``_DEFAULTS`` by keyword."""
+
+    def __init__(self, seed, protocol, scenario, **settings):
+        for name in settings:
+            if name not in _DEFAULTS:
+                raise TypeError(f"RunConfig() got an unexpected keyword "
+                                f"argument {name!r}")
+        self.seed, self.protocol, self.scenario = seed, protocol, scenario
+        self.__dict__.update(_DEFAULTS, telemetry_ports=[DEFAULT_MONITOR_PORT])
+        self.__dict__.update(settings)
+
+    def __eq__(self, other):
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"RunConfig({fields})"
 
     def validate(self):
         if not _is_int(self.seed):
@@ -269,7 +276,7 @@ def load_config(path: str) -> RunConfig:
 def effective_yaml(cfg: RunConfig) -> str:
     """``cfg`` in the sectioned schema, so ``config_from_dict`` loads it back."""
     import yaml
-    flat = asdict(cfg)
+    flat = vars(cfg)
     raw = {key: flat[key] for key in _TOP_FIELDS}
     for section, names in _SECTIONS.items():
         raw[section] = {name: flat[_field_name(section, name)]

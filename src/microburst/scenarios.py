@@ -11,9 +11,8 @@ schedule as a whole.
 """
 
 import bisect
-import inspect
-from dataclasses import dataclass
-from importlib import resources
+import os
+from collections import namedtuple
 from itertools import repeat
 from operator import attrgetter
 
@@ -31,30 +30,39 @@ BACKGROUND_SINKS = ["h11", "h12"]
 LONG_FLOW_BYTES = 1_000_000_000   # finite stand-in for "unbounded"
 
 
-@dataclass(slots=True)
 class FlowSpec:
     """One flow from schedule to result; the run fills in its outcome."""
-    flow_id: int
-    src: str
-    dst: str
-    size_bytes: int
-    start_ns: int
-    query_id: int = None
-    burst: bool = True       # False for long-lived background flows;
-                             # only burst flows carry phase annotations
-    end_ns: int = None       # None while incomplete
-    retransmits: int = 0
-    timeouts: int = 0
-    delivered_bytes: int = 0
-    first_ece_cut_ns: int = None
-    sent: int = 0            # data packets, retransmissions included
-    received: int = 0        # data packets, duplicates included
+    __slots__ = ("flow_id", "src", "dst", "size_bytes", "start_ns", "query_id",
+                 "burst",       # False for long-lived background flows; only
+                                # burst flows carry phase annotations
+                 "end_ns",      # None while incomplete
+                 "retransmits", "timeouts", "delivered_bytes",
+                 "first_ece_cut_ns",
+                 "sent",        # data packets, retransmissions included
+                 "received")    # data packets, duplicates included
+
+    def __init__(self, flow_id, src, dst, size_bytes, start_ns, query_id=None,
+                 burst=True):
+        self.flow_id, self.src, self.dst = flow_id, src, dst
+        self.size_bytes, self.start_ns = size_bytes, start_ns
+        self.query_id, self.burst = query_id, burst
+        self.end_ns = self.first_ece_cut_ns = None
+        self.retransmits = self.timeouts = self.delivered_bytes = 0
+        self.sent = self.received = 0
+
+    def __eq__(self, other):
+        if type(other) is not FlowSpec:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, _fields(self)))
+        return f"FlowSpec({fields})"
 
 
-@dataclass(slots=True)
-class QuerySpec:
-    query_id: int
-    issue_ns: int
+_fields = attrgetter(*FlowSpec.__slots__)
+QuerySpec = namedtuple("QuerySpec", "query_id issue_ns")
 
 
 def validate_schedule(flows):
@@ -218,17 +226,16 @@ def load_size_cdf(path=None):
     """Parse a step CDF of flow sizes: lines `size_bytes cum_prob`, both
     strictly increasing, final probability 1.0."""
     if path is None:
-        text = (resources.files("microburst") / "data" /
-                "websearch_sizes.cdf").read_text()
-    elif not isinstance(path, str):   # an int would open a file descriptor
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            "websearch_sizes.cdf")
+    if not isinstance(path, str):   # an int would open a file descriptor
         raise ConfigError("scenario.cdf_path",
                           f"must be a file path, got {path!r}")
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError("scenario.cdf_path", str(exc)) from None
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError("scenario.cdf_path", str(exc)) from None
     sizes, probs = [], []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -339,8 +346,17 @@ GENERATORS = {
     "websearch": gen_websearch,
     "long_flow_batches": gen_long_flow_batches,
 }
-_PARAMS = {kind: inspect.signature(gen).parameters   # what a scenario may set
-           for kind, gen in GENERATORS.items()}
+
+
+def _params(gen):
+    """``{name: required}`` over a generator's parameters: what a scenario
+    may set, and whether it must, as having no default."""
+    names = gen.__code__.co_varnames[:gen.__code__.co_argcount]
+    required = len(names) - len(gen.__defaults__ or ())
+    return {name: i < required for i, name in enumerate(names)}
+
+
+_PARAMS = {kind: _params(gen) for kind, gen in GENERATORS.items()}
 
 # every integer scenario field and its minimum, whichever generator takes it
 _INTS = {"n": 1, "fanin_count": 1, "background_count": 1, "batch": 1,
@@ -374,7 +390,7 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
     for name in params:
         if name not in signature:
             raise ConfigError(f"scenario.{name}", f"not a parameter of {kind}")
-    for name, param in signature.items():
-        if param.default is param.empty and name not in params:
+    for name, required in signature.items():
+        if required and name not in params:
             raise ConfigError(f"scenario.{name}", f"required by {kind}")
     return gen(**params)

@@ -18,7 +18,7 @@ of the endpoints still live are copied into their flows after the loop."""
 
 import os
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import PROTOCOLS, ConfigError, RunConfig, effective_yaml
 from .engine import Engine
@@ -103,38 +103,24 @@ class Network:
                 r.flow.delivered_bytes, r.flow.received = r.cum_ack, r.received
 
 
-@dataclass
-class RunSummary:
-    """Run-wide counters, summed over the ports and endpoints after the run.
-
-    ``packets_marked`` counts marks per switch-port hop, not per packet: a
-    packet marked at two ports counts twice.
-    """
-
-    events_dispatched: int
-    packets_sent: int
-    packets_delivered: int
-    packets_dropped: int
-    packets_marked: int
+# Run-wide counters, summed over the ports and endpoints after the run.
+# ``packets_marked`` counts marks per switch-port hop, not per packet: a
+# packet marked at two ports counts twice.
+RunSummary = namedtuple("RunSummary", "events_dispatched packets_sent "
+                        "packets_delivered packets_dropped packets_marked")
 
 
-@dataclass
-class RunResult:
-    cfg: RunConfig
-    summary: RunSummary
-    end_ns: int
-    flows: list                        # the schedule's FlowSpecs, in order
-    queries: list                      # (QuerySpec, end_ns or None)
-    traces: dict                       # port_id -> PortTrace
-    ports: dict                        # port_id -> counter snapshot
-    first_ece_cut_ns: int              # earliest mark-induced window cut
+class RunResult(namedtuple("RunResult", "cfg summary end_ns flows queries "
+                           "traces ports first_ece_cut_ns")):
+    """A finished run: ``flows`` are the schedule's FlowSpecs in order,
+    ``queries`` pair each QuerySpec with its end_ns or None, and ``traces``
+    and ``ports`` map port ids to PortTraces and counter snapshots."""
+    __slots__ = ()
 
     def query_completions(self):
-        out = []
-        for spec, end in self.queries:
-            out.append((spec.query_id, spec.issue_ns, end,
-                        None if end is None else end - spec.issue_ns))
-        return out
+        return [(spec.query_id, spec.issue_ns, end,
+                 None if end is None else end - spec.issue_ns)
+                for spec, end in self.queries]
 
 
 def _start_flow(now, arg):

@@ -106,3 +106,19 @@ def test_traced_runs_and_their_analysis_leave_numpy_unloaded(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "phase2_slope_gbps[root->t4]" in (tmp_path / "metrics.csv").read_text()
     assert done.stdout == "False\n"
+
+
+def test_package_import_loads_no_dataclasses_inspect_or_resources():
+    """The package, its analysis, checks and CLI import none of these
+    modules.  ``-S`` keeps a site hook from preloading them."""
+    code = ("import sys\n"
+            "import microburst, microburst.analysis, microburst.checks\n"
+            "import microburst.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'importlib.resources',"
+            " 'tempfile', 'pathlib'} & set(sys.modules)))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

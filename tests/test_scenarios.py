@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 import random
 
@@ -410,3 +411,36 @@ def test_unhashable_host_is_named(key):
     with pytest.raises(ConfigError, match=f"^scenario\\.{key}: no host "
                        r"\[1\] in the preset"):
         build_schedule({"kind": "sync_fanin", "n": 2, key: value}, rng(), GBPS)
+
+
+# -- flow records and the parameter table -------------------------------------
+
+def test_positional_flow_equals_its_keyword_twin():
+    # gen_websearch builds its query flows positionally through map
+    [positional] = map(FlowSpec, [3], ["h1"], ["h10"], [1500], [7], [2], [False])
+    keyword = FlowSpec(flow_id=3, src="h1", dst="h10", size_bytes=1500,
+                       start_ns=7, query_id=2, burst=False)
+    assert positional == keyword
+    keyword.end_ns = 9
+    assert positional != keyword
+
+
+def test_flow_outcome_starts_empty_and_has_no_dict():
+    flow = FlowSpec(0, "h1", "h2", 100, 5)
+    assert (flow.query_id, flow.burst) == (None, True)
+    assert (flow.end_ns, flow.first_ece_cut_ns) == (None, None)
+    assert (flow.retransmits, flow.timeouts, flow.delivered_bytes, flow.sent,
+            flow.received) == (0, 0, 0, 0, 0)
+    assert not hasattr(flow, "__dict__")
+    with pytest.raises(AttributeError):
+        flow.note = "x"
+
+
+@pytest.mark.parametrize("kind", sorted(scenarios.GENERATORS))
+def test_param_table_matches_the_generator_signature(kind):
+    # inspect is the oracle here only; the package reads the code object
+    params = inspect.signature(scenarios.GENERATORS[kind]).parameters
+    table = scenarios._PARAMS[kind]
+    assert list(table) == list(params)
+    assert [name for name, required in table.items() if required] == \
+           [name for name, p in params.items() if p.default is p.empty]
