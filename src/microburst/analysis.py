@@ -33,9 +33,8 @@ class _SampleTimes(list):
 
 class QueueTrace(namedtuple("QueueTrace",
                             "port_id times occupancy annotations")):
-    """Time-ordered occupancy samples of one port plus annotations: sorted
-    post-event ``times`` in ns, the bytes queued after each event, and the
-    recording PortTrace."""
+    """One port's occupancy samples (sorted post-event ``times`` in ns, bytes
+    queued after each event) plus the recording PortTrace's annotations."""
     __slots__ = ()
 
     @classmethod

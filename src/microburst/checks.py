@@ -22,8 +22,6 @@ from .units import GBPS
 
 
 class CheckResult:
-    """A check's verdict: whether every note passed, and the notes."""
-
     def __init__(self, name, passed):
         self.name, self.passed, self.lines = name, passed, []
 

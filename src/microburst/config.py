@@ -84,8 +84,7 @@ _DEFAULTS = {
 
 
 class RunConfig:
-    """One run's settings: ``seed``, ``protocol`` and ``scenario``, then any
-    field of ``_DEFAULTS`` by keyword."""
+    """A run's settings: seed, protocol, scenario, then ``_DEFAULTS`` fields."""
 
     def __init__(self, seed, protocol, scenario, **settings):
         for name in settings:
@@ -281,4 +280,8 @@ def effective_yaml(cfg: RunConfig) -> str:
     for section, names in _SECTIONS.items():
         raw[section] = {name: flat[_field_name(section, name)]
                         for name in names}
-    return yaml.safe_dump(raw, sort_keys=True, default_flow_style=False)
+    # a list or dict two fields share is written out in full, never aliased
+    dumper = type("Dumper", (yaml.SafeDumper,),
+                  {"ignore_aliases": lambda self, data: True})
+    return yaml.dump(raw, Dumper=dumper, sort_keys=True,
+                     default_flow_style=False)

@@ -53,15 +53,15 @@ class FlowSpec:
     def __eq__(self, other):
         if type(other) is not FlowSpec:
             return NotImplemented
-        return _fields(self) == _fields(other)
+        return _slot_values(self) == _slot_values(other)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value
-                           in zip(self.__slots__, _fields(self)))
+                           in zip(self.__slots__, _slot_values(self)))
         return f"FlowSpec({fields})"
 
 
-_fields = attrgetter(*FlowSpec.__slots__)
+_slot_values = attrgetter(*FlowSpec.__slots__)
 QuerySpec = namedtuple("QuerySpec", "query_id issue_ns")
 
 

@@ -76,3 +76,14 @@ def test_equality_holds_for_equal_settings_only(name):
 def test_effective_yaml_loads_back_as_the_same_config(path):
     cfg = load_config(path)
     assert config_from_dict(yaml.safe_load(effective_yaml(cfg))) == cfg
+
+
+def test_a_list_two_fields_share_is_written_out_in_full():
+    senders = ["h1", "h2"]
+    scenario = {"kind": "sync_fanin", "n": 2, "senders": senders}
+    shared = RunConfig(seed=1, protocol="TCP", scenario=scenario,
+                       sweep={"param": "scenario.senders", "values": [senders]})
+    apart = RunConfig(seed=1, protocol="TCP", scenario=scenario,
+                      sweep={"param": "scenario.senders",
+                             "values": [list(senders)]})
+    assert effective_yaml(shared) == effective_yaml(apart)
