@@ -9,7 +9,7 @@ The engine counts only what it does itself, ``events_dispatched``; run
 totals are built from the ports and endpoints after the loop.
 """
 
-import heapq
+from heapq import heappop, heappush
 
 
 class SchedulingInPast(Exception):
@@ -42,7 +42,7 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         entry = [fire_time_ns, seq, fn, arg]
-        heapq.heappush(self._heap, entry)
+        heappush(self._heap, entry)
         return entry
 
     def cancel(self, handle: list) -> bool:
@@ -60,7 +60,6 @@ class Engine:
     def run_until(self, t_end_ns: int) -> None:
         """Dispatch every event with fire_time <= t_end_ns."""
         heap = self._heap
-        heappop = heapq.heappop
         n = 0
         while heap and heap[0][0] <= t_end_ns:
             entry = heappop(heap)

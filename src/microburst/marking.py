@@ -35,15 +35,39 @@ sum exceeds R*I.  Two details differ from a bare running sum:
 * the per-packet increment is capped at R*I (probability mass of one mark),
   so a transient arrival burst above 2x line rate cannot bank unbounded
   marking debt.
+
+R*I is ``units.rate_time_to_bytes``, (R*I + 4e9) // 8e9.  ``SlopeEcn``
+reduces that fraction by g = gcd(R, 8e9) and computes (a*I + b) // c per
+arrival, with a = R/g, c = 8e9/g and b = 4e9 // g (``ri_terms``); at 1 Gbps
+that is (I + 4) // 8, all small integers.  Dropping the remainder
+r = 4e9 - b*g (0 <= r < g) is exact: it adds less than 1/c to a fraction
+whose numerator is an integer over c, so the floor never moves.
 """
 
 import random
+from math import gcd
 
-from .units import rate_time_to_bytes
+from .units import NS_PER_S, rate_time_to_bytes
 
 
 class InvalidRate(Exception):
     """Port rate must be positive."""
+
+
+# rate -> its ri_terms; every switch port of a run has the same rate, so
+# each run's ports share one entry
+_RI_TERMS = {}
+
+
+def ri_terms(rate_bps: int):
+    """``(a, b, c)`` with (a*I + b) // c == rate_time_to_bytes(rate_bps, I)
+    for every I >= 0, reduced by gcd(rate_bps, 8e9)."""
+    terms = _RI_TERMS.get(rate_bps)
+    if terms is None:
+        g = gcd(rate_bps, 8 * NS_PER_S)
+        terms = _RI_TERMS[rate_bps] = (rate_bps // g, 4 * NS_PER_S // g,
+                                       8 * NS_PER_S // g)
+    return terms
 
 
 def mark_probability_from_arrival(pkt_bytes: int, interarrival_ns: int,
@@ -84,13 +108,14 @@ class SlopeEcn:
     mark zeroes the accumulator and advances the arrival chain.
     """
 
-    __slots__ = ("rate_bps", "threshold_bytes", "accumulator",
-                 "last_arrival_ns")
+    __slots__ = ("rate_bps", "ri_mul", "ri_add", "ri_div",
+                 "threshold_bytes", "accumulator", "last_arrival_ns")
 
     def __init__(self, rate_bps: int, threshold_bytes=None):
         if rate_bps <= 0:
             raise InvalidRate(f"rate must be > 0, got {rate_bps}")
         self.rate_bps = rate_bps
+        self.ri_mul, self.ri_add, self.ri_div = ri_terms(rate_bps)
         self.threshold_bytes = threshold_bytes
         self.accumulator = 0
         self.last_arrival_ns = None
@@ -104,8 +129,7 @@ class SlopeEcn:
             return True
         if last is None:
             return False
-        # R*I, units.rate_time_to_bytes written out
-        ri = (self.rate_bps * (now_ns - last) + 4_000_000_000) // 8_000_000_000
+        ri = (self.ri_mul * (now_ns - last) + self.ri_add) // self.ri_div
         if ri == 0:
             # Two arrivals in the same nanosecond: unbounded rate, mark.
             return True

@@ -171,13 +171,15 @@ class Port:
         if self.trace is not None:
             self.trace.record_enqueue(now, qb - size, qb, pkt, marked)
         queue = self.queue
+        if queue:
+            queue.append(pkt)
+            return
         queue.append(pkt)
-        if len(queue) == 1:
-            try:
-                ns = self.ser_ns[size]
-            except KeyError:
-                ns = self.ser_ns[size] = serialization_ns(size, self.rate_bps)
-            self.engine.schedule(now + ns, self._tx_done_fn, None)
+        try:
+            ns = self.ser_ns[size]
+        except KeyError:
+            ns = self.ser_ns[size] = serialization_ns(size, self.rate_bps)
+        self.engine.schedule(now + ns, self._tx_done_fn, None)
 
     def _tx_done(self, now, _):
         queue = self.queue

@@ -13,6 +13,9 @@ class Packet:
     cumulative ack number in `ack_no` plus receiver echo flags.  The route
     is the ordered tuple of output ports the packet still has to traverse;
     `hop` indexes the port currently serializing it.
+
+    The receiver rewrites a delivered data packet into its ACK, so one
+    object serves a data/ACK round trip.
     """
 
     __slots__ = ("flow_id", "kind", "size", "seq_lo", "seq_hi", "ack_no",

@@ -309,6 +309,10 @@ _NO_SEGMENTS = {}
 class Receiver:
     """Receiving endpoint: immediate cumulative ACK per data packet.
 
+    The ACK is the delivered data packet itself, rewritten in place: nothing
+    holds a packet once it is delivered, so one object serves a data/ACK
+    round trip.
+
     ECN echo follows the host algorithm: the DCTCP variant echoes each
     packet's CE bit exactly; the NewReno variant echoes a sticky ECE that
     clears when the sender signals its window reduction (CWR).
@@ -352,7 +356,15 @@ class Receiver:
                 self.sticky_ece = True
             ece = self.sticky_ece
 
-        ack = Packet(self.flow_id, ACK, ACK_SIZE, self.route, 0, 0,
-                     self.cum_ack)
-        ack.ece_echo = ece
-        self.route[0].enqueue(ack, now)
+        # the data packet becomes its ACK: every slot as Packet(flow_id,
+        # ACK, ACK_SIZE, route, 0, 0, cum_ack) sets it, then the echo
+        pkt.kind = ACK
+        pkt.size = ACK_SIZE
+        pkt.seq_lo = pkt.seq_hi = 0
+        pkt.ack_no = self.cum_ack
+        pkt.ecn_marked = pkt.cwr = pkt.first_window = False
+        pkt.ece_echo = ece
+        pkt.send_round = 0
+        route = pkt.route = self.route
+        pkt.hop = 0
+        route[0].enqueue(pkt, now)

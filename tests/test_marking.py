@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microburst.marking import (InvalidRate, RandomSlopeEcn, SlopeEcn,
-                                ThresholdEcn, mark_probability_from_arrival)
+                                ThresholdEcn, mark_probability_from_arrival,
+                                ri_terms)
 from microburst.units import GBPS, rate_time_to_bytes
 
 R = GBPS
@@ -229,9 +230,28 @@ _ARRIVALS = st.lists(
     max_size=300)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([GBPS, 10 * GBPS, 25 * GBPS, 40 * GBPS]),
-       st.one_of(st.none(), st.sampled_from([0, 1500, 32_000])), _ARRIVALS)
+# any rate, and the line rates; at 8 Gbps (8e9 divides R) ri_add is 0
+_RATES = st.one_of(
+    st.integers(1, 10**12),
+    st.sampled_from([n * GBPS for n in (1, 8, 10, 16, 25, 40, 100)]))
+
+
+@settings(max_examples=1_000, deadline=None)
+@given(_RATES, st.integers(0, 10**13))
+@example(8 * GBPS, 10**13 - 1)
+def test_reduced_ri_is_rate_time_to_bytes(rate, interval):
+    a, b, c = ri_terms(rate)
+    if rate == 8 * GBPS:
+        assert (a, b, c) == (1, 0, 1)
+    assert (a * interval + b) // c == rate_time_to_bytes(rate, interval)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RATES, st.one_of(st.none(), st.sampled_from([0, 1500, 32_000])),
+       _ARRIVALS)
+@example(8 * GBPS, None, [(0, 1500, 0)] + [(0, 1500, 1_000)] * 20)
+@example(8 * GBPS, 1500, [(0, 1500, 0)] + [(3_000, 1500, 900)] * 10
+         + [(0, 1500, 1_000)] * 10)
 def test_merged_hybrid_matches_nested_policies(rate, threshold, arrivals):
     merged = SlopeEcn(rate, threshold)
     slope = NestedSlopeEcn(rate)

@@ -479,7 +479,8 @@ def in_flight(monkeypatch):
 ], ids=["delayed_links", "delayed_links_cut", "websearch_cut"])
 def test_packet_audit_counts_data_in_flight(in_flight, cfg, queued, held):
     # the audit passes; a cut run leaves data in port queues, and with link
-    # delays in pending forward and deliver events
+    # delays in pending forward and deliver events.  A delivered data packet
+    # is its own ACK by then, so the audit counts it once, as received
     res = run_simulation(cfg)
     assert res.summary.packets_sent > res.summary.packets_delivered > 0
     assert [(q > 0, h > 0) for q, h in in_flight] == [(queued, held)]

@@ -1,6 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from microburst.packets import ACK, Packet
+from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
 from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, Receiver, Sender
 
@@ -249,6 +250,28 @@ def test_dctcp_receiver_exact_echo(one_link):
     clean = Packet(0, DATA, MSS, (), seq_lo=MSS, seq_hi=2 * MSS)
     r.on_data(clean, 10)
     assert [p.ece_echo for _, p in stub.sent] == [True, False]
+
+
+@pytest.mark.parametrize("dctcp_echo", [False, True])
+def test_receiver_rewrites_the_data_packet_into_a_fresh_ack(dctcp_echo):
+    stub = StubPort()
+    route = (stub,)
+    r = Receiver(FlowSpec(7, "h1", "h10", 3 * MSS, 0), route, dctcp_echo)
+    r.on_data(Packet(7, DATA, MSS, route, seq_lo=0, seq_hi=MSS), 10)
+    # the second segment, so every slot of the data packet differs from
+    # its ACK's
+    data = Packet(7, DATA, MSS, ("p0", "p1", "p2"), seq_lo=MSS,
+                  seq_hi=2 * MSS)
+    data.ecn_marked = data.cwr = data.first_window = True
+    data.send_round = 3
+    data.hop = 2
+    r.on_data(data, 50)
+    fresh = Packet(7, ACK, ACK_SIZE, route, 0, 0, 2 * MSS)
+    fresh.ece_echo = True
+    [_, (now, ack)] = stub.sent
+    assert now == 50 and ack is data
+    assert ({slot: getattr(ack, slot) for slot in Packet.__slots__}
+            == {slot: getattr(fresh, slot) for slot in Packet.__slots__})
 
 
 def test_pacing_spacing_is_srtt_over_window(one_link):
