@@ -14,8 +14,9 @@ class Packet:
     is the ordered tuple of output ports the packet still has to traverse;
     `hop` indexes the port currently serializing it.
 
-    The receiver rewrites a delivered data packet into its ACK, so one
-    object serves a data/ACK round trip.
+    The receiver rewrites a delivered data packet into its ACK, and the
+    sender keeps the ACK and rewrites it into its next data segment, so in
+    steady state one object carries a flow's data -> ACK -> data cycle.
     """
 
     __slots__ = ("flow_id", "kind", "size", "seq_lo", "seq_hi", "ack_no",

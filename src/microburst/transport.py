@@ -25,7 +25,12 @@ RTO_MAX_NS = 10_000_000_000
 
 
 class Sender:
-    """One flow's sending endpoint and congestion-control state machine."""
+    """One flow's sending endpoint and congestion-control state machine.
+
+    A delivered ACK is kept as ``spare`` once its fields are read: nothing
+    else holds it, so the next segment the sender emits is that object,
+    rewritten in place, and a new packet is allocated only when there is
+    none.  An ACK reaching a finished sender is not kept."""
 
     __slots__ = ("flow", "flow_id", "total", "annotate", "engine", "route",
                  "algo", "pacing", "mss", "iw_bytes", "max_cwnd",
@@ -35,7 +40,7 @@ class Sender:
                  "alpha", "win_end", "win_acked", "win_marked",
                  "srtt", "rttvar", "rto", "rto_deadline", "rto_timer",
                  "rtt_probe", "pace_next", "pace_timer",
-                 "round", "round_end", "done", "sent")
+                 "round", "round_end", "done", "sent", "spare")
 
     def __init__(self, flow, route, engine, cfg):
         self.flow = flow
@@ -82,6 +87,7 @@ class Sender:
 
         self.done = False
         self.sent = 0           # data packets, retransmissions included
+        self.spare = None       # the last ACK, until a segment reuses it
 
     # -- state view ---------------------------------------------------------
 
@@ -98,15 +104,30 @@ class Sender:
     # -- segment emission ---------------------------------------------------
 
     def _emit(self, seq_lo, size, now, retransmit):
-        pkt = Packet(self.flow_id, DATA, size, self.route, seq_lo,
-                     seq_lo + size)
-        if self.cwr_pending:
-            pkt.cwr = True
-            self.cwr_pending = False
+        pkt = self.spare
+        if pkt is None:
+            pkt = Packet(self.flow_id, DATA, size, self.route, seq_lo,
+                         seq_lo + size)
+        else:
+            # the last ACK becomes the segment: this and the tags below set
+            # every slot as Packet(flow_id, DATA, size, route, seq_lo,
+            # seq_hi) does; the ACK already carries the flow id
+            self.spare = None
+            pkt.kind = DATA
+            pkt.size = size
+            pkt.seq_lo = seq_lo
+            pkt.seq_hi = seq_lo + size
+            pkt.ack_no = 0
+            pkt.ecn_marked = pkt.ece_echo = False
+            pkt.route = self.route
+            pkt.hop = 0
+        pkt.cwr = self.cwr_pending
+        self.cwr_pending = False
         if self.annotate:
             pkt.first_window = not retransmit and seq_lo < self.iw_bytes
             pkt.send_round = self.round
         else:
+            pkt.first_window = False
             pkt.send_round = -1
         self.sent += 1
         if not retransmit and self.rtt_probe is None:
@@ -144,6 +165,8 @@ class Sender:
         if self.done:
             return
         ack = pkt.ack_no
+        ece = pkt.ece_echo
+        self.spare = pkt    # nothing else holds a delivered ACK
         mss = self.mss
         if ack > self.highest_acked:
             delta = ack - self.highest_acked
@@ -160,7 +183,7 @@ class Sender:
 
             if self.algo == DCTCP:
                 self.win_acked += delta
-                if pkt.ece_echo:
+                if ece:
                     self.win_marked += delta
 
             if self.in_recovery:
@@ -171,7 +194,7 @@ class Sender:
                     # partial ACK: next hole is lost too
                     self._retransmit_head(now)
                     self.cwnd = max(self.cwnd - delta + mss, mss)
-            elif self.algo == NEWRENO and pkt.ece_echo:
+            elif self.algo == NEWRENO and ece:
                 # cut once, then hold cwnd until the reduction window passes
                 if ack >= self.cut_seq:
                     self._ece_cut(now)
@@ -310,8 +333,9 @@ class Receiver:
     """Receiving endpoint: immediate cumulative ACK per data packet.
 
     The ACK is the delivered data packet itself, rewritten in place: nothing
-    holds a packet once it is delivered, so one object serves a data/ACK
-    round trip.
+    holds a packet once it is delivered.  The sender in turn rewrites the
+    ACK into its next segment, so one object serves a data/ACK round trip
+    and the next.
 
     ECN echo follows the host algorithm: the DCTCP variant echoes each
     packet's CE bit exactly; the NewReno variant echoes a sticky ECE that

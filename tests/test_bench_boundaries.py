@@ -10,7 +10,13 @@ import pytest
 
 from microburst.analysis import QueueTrace, fit_slope, segment_phases
 from microburst.config import RunConfig
+from microburst.engine import Engine
+from microburst.netmodel import Port
+from microburst.packets import DATA, Packet
+from microburst.scenarios import FlowSpec
 from microburst.sim import run_simulation
+from microburst.transport import Sender
+from microburst.units import GBPS
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -57,3 +63,27 @@ def test_traced_fit_sizes_count_the_samples_fit_slope_fits(monkeypatch):
             [times[i] for i in inside], [trace.occupancy[i] for i in inside])
         assert fit_slope(trace, window) == pytest.approx(ref.slope * 8e9,
                                                          rel=1e-9)
+
+
+def test_traced_pending_peak_sizes_the_hot_heap(monkeypatch):
+    """The traced ``engine.pending_peak`` is the length of ``Engine._heap``
+    at each schedule: the hot heap, which holds port departures but not
+    retransmission timers."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    engine = Engine()
+    assert type(engine._heap) is list
+    assert tracing._heap_size(engine) == 0
+
+    port = Port("p", GBPS, None, None, engine)
+    port.enqueue(Packet(0, DATA, 1500, ()), 0)
+    [departure] = engine._heap
+    assert departure[2] is port._tx_done_fn
+
+    cfg = RunConfig(seed=1, protocol="TCP", scenario={"kind": "incast"})
+    sender = Sender(FlowSpec(1, "h1", "h10", 3000, 0), (port,), engine,
+                    cfg.validate())
+    sender.start(0)
+    assert sender.rto_timer is not None
+    assert all(entry is not sender.rto_timer for entry in engine._heap)
+    assert tracing._heap_size(engine) == 1

@@ -1,11 +1,19 @@
+from collections import deque
+from heapq import heappop, heappush
+from itertools import count
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from microburst.analysis import QueueTrace
+from microburst.config import PROTOCOLS, RunConfig
 from microburst.engine import Engine
 from microburst.marking import ThresholdEcn
-from microburst.netmodel import (ENQUEUE, Port, PortTrace, stamp_telemetry)
-from microburst.packets import ACK, DATA, Packet
+from microburst.netmodel import (ACK_ENQUEUE, DEQUEUE, DROP, ENQUEUE,
+                                 ENQUEUE_MARKED, Port, PortTrace,
+                                 stamp_telemetry)
+from microburst.packets import ACK, ACK_SIZE, DATA, Packet
+from microburst.sim import Network, _make_policy
 from microburst.topology import HOSTS, PORT_IDS, ROOT, TORS, path, tor_of
 from microburst.units import GBPS, quantize_down, serialization_ns
 
@@ -318,3 +326,143 @@ def test_reference_run_exercises_drops_and_marks():
     assert events.count("mark") == 1 and events.count("drop") == 2
     assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
                                      for t, q, flow, event in ref.rows]
+
+
+# -- the network model against a reference written from its spec -------------
+
+class HopReference:
+    """The hop path of the preset network, from its spec.  Each port is a
+    FIFO whose head is on the wire and departs one wire time after it
+    became the head.  An arrival is dropped when the bytes queued, the one
+    on the wire included, plus its own exceed the buffer (a host NIC has
+    none); a switch port's policy, a fresh one of the protocol's kind (the
+    marking rules have their own tests), sees every admitted arrival and
+    marks only data.  A departing packet reaches the next port, or its host,
+    ``prop_delay_ns`` later (plus ``hop_proc_ns`` into a switch), or at once
+    when that is 0, after its port has started the next head.  Equal times
+    are taken in the order they were scheduled.
+
+    Packets are ``(flow_id, kind, size)`` with their remaining port ids;
+    ``log`` holds each port's ``PortTrace`` log tuples and ``delivered`` the
+    ``(time, flow_id)`` of every arrival at a host."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.log = {pid: [] for pid in PORT_IDS}
+        self.fifo = {pid: deque() for pid in PORT_IDS}
+        self.queued = dict.fromkeys(PORT_IDS, 0)
+        self.policy = {pid: None if pid.split("->")[0] in HOSTS
+                       else _make_policy(cfg) for pid in PORT_IDS}
+        self.delivered = []
+        self.events = []    # (time, seq, fn, args)
+        self.seq = count()
+
+    def at(self, t, fn, *args):
+        heappush(self.events, (t, next(self.seq), fn, args))
+
+    def run(self):
+        while self.events:
+            t, _, fn, args = heappop(self.events)
+            fn(t, *args)
+
+    def wire_ns(self, pkt):
+        return serialization_ns(pkt[2], self.cfg.link_rate_bps)
+
+    def arrive(self, now, pkt, hops):
+        pid, (flow, kind, size) = hops[0], pkt
+        src, dst = pid.split("->")
+        q = self.queued[pid]
+        limit = self.cfg.buffer_bytes
+        if dst == ROOT and self.cfg.tor_uplink_buffer_bytes is not None:
+            limit = self.cfg.tor_uplink_buffer_bytes
+        if src not in HOSTS and q + size > limit:
+            self.log[pid].append((now, q, q, flow, DROP))
+            return
+        policy = self.policy[pid]
+        marked = (policy is not None and policy.decide(q, size, now)
+                  and kind == DATA)
+        code = (ACK_ENQUEUE if kind == ACK
+                else ENQUEUE_MARKED if marked else ENQUEUE)
+        self.log[pid].append((now, q, q + size, flow, code))
+        self.queued[pid] = q + size
+        self.fifo[pid].append((pkt, hops))
+        if len(self.fifo[pid]) == 1:
+            self.at(now + self.wire_ns(pkt), self.depart, pid)
+
+    def depart(self, now, pid):
+        fifo = self.fifo[pid]
+        pkt, hops = fifo.popleft()
+        q = self.queued[pid] = self.queued[pid] - pkt[2]
+        self.log[pid].append((now, q + pkt[2], q, pkt[0], DEQUEUE))
+        if fifo:
+            self.at(now + self.wire_ns(fifo[0][0]), self.depart, pid)
+        delay = self.cfg.prop_delay_ns
+        if pid.split("->")[1] in HOSTS:
+            step = (self.deliver, pkt)
+        else:
+            delay += self.cfg.hop_proc_ns
+            step = (self.arrive, pkt, hops[1:])
+        if delay:
+            self.at(now + delay, *step)
+        else:
+            step[0](now, *step[1:])
+
+    def deliver(self, now, pkt):
+        self.delivered.append((now, pkt[0]))
+
+
+class DeliveryLog(Network):
+    """A network that records ``(time, flow_id)`` of every delivery."""
+
+    def __init__(self, engine, cfg):
+        self.delivered = []
+        super().__init__(engine, cfg)
+
+    def _deliver(self, now, pkt):
+        self.delivered.append((now, pkt.flow_id))
+
+
+# (start time, source, destination, ACK instead of data, data size) with
+# hosts as indices into HOSTS: a few start times and sizes make exact ties
+# between arrivals common, and most packets fan in to h4 or h10 (same-rack
+# from h5 and h6, cross-rack from the others), so buffers overflow
+_INJECTION = st.tuples(
+    st.sampled_from((0, 0, 0, 512, 6_000, 12_000, 12_512, 24_000)),
+    st.integers(0, 11), st.sampled_from((3, 9, 9)) | st.integers(0, 11),
+    st.sampled_from((False, False, False, True)),
+    st.sampled_from((64, 700, 1500, 1500)) | st.integers(64, 1500))
+
+_NETWORK = st.fixed_dictionaries({
+    "protocol": st.sampled_from(sorted(PROTOCOLS)),
+    "link_rate_bps": st.sampled_from((GBPS, 10 * GBPS)),
+    "prop_delay_ns": st.sampled_from((0, 0, 1, 500, 2_000)),
+    "hop_proc_ns": st.sampled_from((0, 0, 1, 300)),
+    "buffer_bytes": st.integers(1_500, 6_000),
+    "tor_uplink_buffer_bytes": st.none() | st.integers(1_500, 4_000),
+    "ecn_threshold_bytes": st.integers(0, 4_000),
+})
+
+
+@settings(max_examples=150)
+@given(_NETWORK, st.lists(_INJECTION, min_size=8, max_size=50))
+def test_network_hops_match_the_reference(fields, injections):
+    cfg = RunConfig(seed=1, scenario={"kind": "incast"}, **fields).validate()
+    engine = Engine()
+    net = DeliveryLog(engine, cfg)
+    ref = HopReference(cfg)
+    for port in net.ports.values():
+        port.trace = PortTrace(port.port_id)
+    for flow, (t, src, dst, is_ack, size) in enumerate(injections):
+        src, dst = HOSTS[src], HOSTS[dst if dst != src else (dst + 1) % 12]
+        kind, size = (ACK, ACK_SIZE) if is_ack else (DATA, size)
+        route = net.route(src, dst)
+        pkt = Packet(flow, kind, size, route)
+        pkt.send_round = -1
+        engine.schedule(t, _arrive, (route[0], pkt))
+        nodes = path(src, dst)
+        ref.at(t, ref.arrive, (flow, kind, size),
+               [f"{a}->{b}" for a, b in zip(nodes, nodes[1:])])
+    engine.run_until(1 << 62)
+    ref.run()
+    assert {pid: port.trace.log for pid, port in net.ports.items()} == ref.log
+    assert net.delivered == ref.delivered

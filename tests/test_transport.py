@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from microburst.config import RunConfig
+from microburst.engine import Engine
 from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
 from microburst.transport import DCTCP, NEWRENO, RTO_MAX_NS, Receiver, Sender
@@ -252,6 +254,10 @@ def test_dctcp_receiver_exact_echo(one_link):
     assert [p.ece_echo for _, p in stub.sent] == [True, False]
 
 
+def slots(pkt):
+    return {slot: getattr(pkt, slot) for slot in Packet.__slots__}
+
+
 @pytest.mark.parametrize("dctcp_echo", [False, True])
 def test_receiver_rewrites_the_data_packet_into_a_fresh_ack(dctcp_echo):
     stub = StubPort()
@@ -270,8 +276,96 @@ def test_receiver_rewrites_the_data_packet_into_a_fresh_ack(dctcp_echo):
     fresh.ece_echo = True
     [_, (now, ack)] = stub.sent
     assert now == 50 and ack is data
-    assert ({slot: getattr(ack, slot) for slot in Packet.__slots__}
-            == {slot: getattr(fresh, slot) for slot in Packet.__slots__})
+    assert slots(ack) == slots(fresh)
+
+
+def stub_sender(burst=True, total_bytes=40 * MSS):
+    """A NewReno sender of flow 7 whose one port records its segments."""
+    stub = StubPort()
+    cfg = RunConfig(seed=1, protocol="ECN*", scenario={"kind": "incast"})
+    flow = FlowSpec(7, "h1", "h10", total_bytes, 0, burst=burst)
+    return Sender(flow, (stub,), Engine(), cfg.validate()), stub
+
+
+def delivered_ack(ack_no, ece=False):
+    """Flow 7's ACK as delivered, its other slots unlike any segment's."""
+    pkt = ack(7, ack_no, ece)
+    pkt.ecn_marked = pkt.cwr = pkt.first_window = True
+    pkt.send_round = 5
+    pkt.route = ("r0", "r1")
+    pkt.hop = 1
+    return pkt
+
+
+def segment(sender, seq_lo, cwr=False, first_window=False, send_round=-1):
+    """The segment ``sender`` would have allocated at ``seq_lo``."""
+    pkt = Packet(7, DATA, MSS, sender.route, seq_lo, seq_lo + MSS)
+    pkt.cwr, pkt.first_window, pkt.send_round = cwr, first_window, send_round
+    return pkt
+
+
+def test_sender_rewrites_the_ack_into_its_next_new_segment():
+    s, stub = stub_sender(burst=False)
+    s.start(0)
+    a = delivered_ack(MSS)
+    s.on_ack(a, 100)    # slow start: two new segments
+    [(_, first), (_, second)] = stub.sent[3:]
+    assert first is a and second is not a
+    assert slots(first) == slots(segment(s, 3 * MSS))
+    assert slots(second) == slots(segment(s, 4 * MSS))
+
+
+def test_sender_rewrites_the_ack_into_a_first_window_segment():
+    s, stub = stub_sender()
+    s.cwnd = MSS
+    s.start(0)
+    a = delivered_ack(MSS)
+    s.on_ack(a, 100)    # segments 1 and 2 are still in the first window
+    [(_, first), (_, second)] = stub.sent[1:]
+    assert first is a
+    assert slots(first) == slots(segment(s, MSS, first_window=True,
+                                         send_round=0))
+    assert slots(second) == slots(segment(s, 2 * MSS, first_window=True,
+                                          send_round=0))
+
+
+def test_sender_rewrites_the_ack_into_the_segment_carrying_cwr():
+    s, stub = stub_sender(burst=False)
+    s.cwnd = 8 * MSS
+    s.start(0)
+    a = delivered_ack(7 * MSS, ece=True)
+    s.on_ack(a, 100)    # cut to 4 MSS with one in flight: three segments
+    sent = [pkt for _, pkt in stub.sent[8:]]
+    assert len(sent) == 3 and sent[0] is a
+    assert slots(a) == slots(segment(s, 8 * MSS, cwr=True))
+    assert [pkt.cwr for pkt in sent] == [True, False, False]
+
+
+def test_sender_rewrites_the_ack_into_a_retransmission_in_recovery():
+    s, stub = stub_sender()
+    s.cwnd = 10 * MSS
+    s.start(0)
+    s.on_ack(delivered_ack(MSS), 100)
+    dupacks = [delivered_ack(MSS) for _ in range(3)]
+    for i, dup in enumerate(dupacks):
+        s.on_ack(dup, 200 + i)
+    assert s.in_recovery and stub.sent[-1][1] is dupacks[2]
+    assert slots(dupacks[2]) == slots(segment(s, MSS, send_round=0))
+    partial = delivered_ack(3 * MSS)
+    sent_before = len(stub.sent)
+    s.on_ack(partial, 300)     # the next hole is resent at once
+    assert s.in_recovery and stub.sent[sent_before][1] is partial
+    assert slots(partial) == slots(segment(s, 3 * MSS, send_round=0))
+
+
+def test_an_ack_reaching_a_finished_sender_is_not_reused():
+    s, stub = stub_sender(burst=False, total_bytes=MSS)
+    s.start(0)
+    s.on_ack(delivered_ack(MSS), 100)
+    assert s.done
+    late = delivered_ack(MSS)
+    s.on_ack(late, 200)
+    assert s.spare is not late and len(stub.sent) == 1
 
 
 def test_pacing_spacing_is_srtt_over_window(one_link):
