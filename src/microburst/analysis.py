@@ -1,11 +1,12 @@
 """Post-processing of queue traces: phase segmentation, slope fitting,
 slope distributions, and flow/query metrics.
 
-Phase boundaries come from ground-truth annotations recorded during the
-run, not from change-point inference: the first growth phase ends when the
-last first-window packet reaches the monitored port, and the second ends
-at the first congestion reaction (drop at the port or mark-induced window
-cut), falling back to the time the queue peaks.
+Traces are the run's ``netmodel.PortTrace`` objects: queue samples plus
+ground-truth annotations.  Phase boundaries come from those annotations,
+not from change-point inference: the first growth phase ends when the last
+first-window packet reaches the monitored port, and the second ends at the
+first congestion reaction (drop at the port or mark-induced window cut),
+falling back to the time the queue peaks.
 
 Traces hold integer nanoseconds and bytes, so slopes and variances are
 computed from exact integer sums with one rounding at the final division.
@@ -15,38 +16,11 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from operator import mul, sub
 
-from .netmodel import DROP
 from .units import NS_PER_S
 
 
 class InsufficientData(Exception):
     """Too few trace samples in the requested window."""
-
-
-class _SampleTimes(list):
-    """Sorted sample times with numpy's ``searchsorted`` lookup, which the
-    traced benchmark uses to count the samples of each ``fit_slope`` window."""
-
-    def searchsorted(self, value, side="left"):
-        return (bisect_right if side == "right" else bisect_left)(self, value)
-
-
-class QueueTrace(namedtuple("QueueTrace",
-                            "port_id times occupancy annotations")):
-    """One port's occupancy samples (sorted post-event ``times`` in ns, bytes
-    queued after each event) plus the recording PortTrace's annotations."""
-    __slots__ = ()
-
-    @classmethod
-    def from_port_trace(cls, pt):
-        # one sample per enqueue and dequeue; a drop leaves the queue as is
-        kept = [event for event in pt.log if event[4] != DROP]
-        return cls(pt.port_id, _SampleTimes([e[0] for e in kept]),
-                   [e[2] for e in kept], pt)
-
-    def occupancy_at(self, t_ns):
-        idx = bisect_right(self.times, t_ns) - 1
-        return 0 if idx < 0 else self.occupancy[idx]
 
 
 Phase = namedtuple("Phase", "start_ns end_ns slope_bps height_bytes",
@@ -55,7 +29,7 @@ Phase = namedtuple("Phase", "start_ns end_ns slope_bps height_bytes",
 PhaseReport = namedtuple("PhaseReport", "phase1 phase2")
 
 
-def fit_slope(trace: QueueTrace, window) -> float:
+def fit_slope(trace, window) -> float:
     """Least-squares slope of queue length over [start, end], in bits/s."""
     start, end = window
     lo = bisect_left(trace.times, start)
@@ -80,18 +54,17 @@ def slope_upper_bound(first_round_rate_bps: float, port_rate_bps: float) -> floa
     return 2.0 * a * r / (a + r)
 
 
-def first_window_rate(trace: QueueTrace) -> float:
+def first_window_rate(trace) -> float:
     """Measured arrival rate of first-window packets at the port, bits/s."""
-    ann = trace.annotations
-    if ann.first_window_first_ns is None or ann.first_window_bytes == 0:
+    if trace.first_window_first_ns is None or trace.first_window_bytes == 0:
         raise InsufficientData("no first-window packets observed")
-    span = ann.first_window_last_ns - ann.first_window_first_ns
+    span = trace.first_window_last_ns - trace.first_window_first_ns
     if span <= 0:
         raise InsufficientData("first-window span is empty")
-    return ann.first_window_bytes * 8.0 * NS_PER_S / span
+    return trace.first_window_bytes * 8.0 * NS_PER_S / span
 
 
-def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
+def segment_phases(trace, first_cut_ns=None) -> PhaseReport:
     """Split the burst onset into its growth phases using annotations.
 
     The first phase ends when the last first-window packet has cleared the
@@ -100,13 +73,12 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
     until then, so the arrival of the last first-window packet would cut
     the boundary too early.
     """
-    ann = trace.annotations
-    if ann.first_window_first_ns is None:
+    if trace.first_window_first_ns is None:
         raise InsufficientData("trace has no first-window annotations")
-    p1_start = ann.first_window_first_ns
-    p1_end = ann.first_window_last_departure_ns
+    p1_start = trace.first_window_first_ns
+    p1_end = trace.first_window_last_departure_ns
     if p1_end is None:
-        p1_end = ann.first_window_last_ns
+        p1_end = trace.first_window_last_ns
     base = trace.occupancy_at(p1_start - 1)
     try:
         p1_slope = fit_slope(trace, (p1_start, p1_end))
@@ -116,8 +88,8 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
                    trace.occupancy_at(p1_end) - base)
 
     candidates = []
-    if ann.first_drop_ns is not None and ann.first_drop_ns > p1_end:
-        candidates.append(ann.first_drop_ns)
+    if trace.first_drop_ns is not None and trace.first_drop_ns > p1_end:
+        candidates.append(trace.first_drop_ns)
     if first_cut_ns is not None and first_cut_ns > p1_end:
         candidates.append(first_cut_ns)
     lo = bisect_right(trace.times, p1_end)
@@ -137,11 +109,11 @@ def segment_phases(trace: QueueTrace, first_cut_ns=None) -> PhaseReport:
     return PhaseReport(phase1, phase2)
 
 
-def later_phases(trace: QueueTrace) -> list:
+def later_phases(trace) -> list:
     """Growth phases after the first: the arrival spans of the following
     send rounds (up to 16), separated by the pauses while each round's ACKs
     travel back."""
-    spans = trace.annotations.round_spans
+    spans = trace.round_spans
     later = []
     for rnd in sorted(r for r in spans if r != 0)[:16]:
         lo_ns, hi_ns = spans[rnd]
@@ -164,7 +136,7 @@ def slope_distribution(slopes_bps) -> dict:
     return {"slopes_bps": ordered, "mean_bps": mean, "cv": cv}
 
 
-def time_weighted_stddev(trace: QueueTrace, t0_ns, t1_ns) -> float:
+def time_weighted_stddev(trace, t0_ns, t1_ns) -> float:
     """Stddev of the queue-length step function over [t0, t1], bytes."""
     if t1_ns <= t0_ns:
         raise InsufficientData("empty stddev window")
@@ -238,8 +210,7 @@ def compute_metrics(result) -> dict:
         if port_id in result.traces or snap["max_queue_bytes"] > 0:
             metrics[f"max_queue_bytes[{port_id}]"] = snap["max_queue_bytes"]
 
-    for port_id in sorted(result.traces):
-        trace = QueueTrace.from_port_trace(result.traces[port_id])
+    for port_id, trace in sorted(result.traces.items()):
         if not trace.times:
             continue
         t0 = cfg.stddev_after_ns

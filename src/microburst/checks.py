@@ -80,8 +80,8 @@ def _grid(values, axes):
 
 def _phase2(res):
     """The fan-in port's queue trace and its phase-2 growth slope (bps)."""
-    from .analysis import QueueTrace, segment_phases
-    trace = QueueTrace.from_port_trace(res.traces[PORT])
+    from .analysis import segment_phases
+    trace = res.traces[PORT]
     return trace, segment_phases(trace, res.first_ece_cut_ns).phase2.slope_bps
 
 
@@ -102,9 +102,9 @@ def _peak(res):
 
 def _peak_and_stddev(res):
     """Peak queue and its time-weighted stddev after ``stddev_after_ns``."""
-    from .analysis import QueueTrace, time_weighted_stddev
-    trace = QueueTrace.from_port_trace(res.traces[PORT])
-    return _peak(res), time_weighted_stddev(trace, res.cfg.stddev_after_ns,
+    from .analysis import time_weighted_stddev
+    return _peak(res), time_weighted_stddev(res.traces[PORT],
+                                            res.cfg.stddev_after_ns,
                                             res.end_ns)
 
 

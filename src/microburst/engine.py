@@ -101,41 +101,44 @@ class Engine:
             self._running = False
             heappop(heap)
         n = 0
-        while True:
-            if heap:
-                entry = heap[0]
-                if not far or entry < far[0]:
-                    t, _, fn, arg = entry
-                    if t > t_end_ns:
-                        break
-                    if fn is None:
-                        heappop(heap)
+        try:
+            while True:
+                if heap:
+                    entry = heap[0]
+                    if not far or entry < far[0]:
+                        t, _, fn, arg = entry
+                        if t > t_end_ns:
+                            break
+                        if fn is None:
+                            heappop(heap)
+                            continue
+                        entry[2] = None
+                        self.now = t
+                        n += 1
+                        self._running = True
+                        fn(t, arg)
+                        if self._running:
+                            self._running = False
+                            heappop(heap)
                         continue
-                    entry[2] = None
-                    self.now = t
-                    n += 1
-                    self._running = True
-                    fn(t, arg)
-                    if self._running:
-                        self._running = False
-                        heappop(heap)
+                elif not far:
+                    break
+                # the far root is due first
+                entry = far[0]
+                t, _, fn, arg = entry
+                if t > t_end_ns:
+                    break
+                heappop(far)
+                if fn is None:
                     continue
-            elif not far:
-                break
-            # the far root is due first
-            entry = far[0]
-            t, _, fn, arg = entry
-            if t > t_end_ns:
-                break
-            heappop(far)
-            if fn is None:
-                continue
-            entry[2] = None
-            self.now = t
-            n += 1
-            fn(t, arg)
-        if n:
-            self.events_dispatched += n
-            self.last_dispatch_ns = self.now
+                entry[2] = None
+                self.now = t
+                n += 1
+                fn(t, arg)
+        finally:
+            # a raising handler counts, and ``now`` stays at its time
+            if n:
+                self.events_dispatched += n
+                self.last_dispatch_ns = self.now
         if t_end_ns > self.now:
             self.now = t_end_ns

@@ -8,13 +8,15 @@ policy sees the packet; marking applies only to admitted data packets
 are).  Host-side ports (the NIC) have no buffer limit and no policy;
 the sender's window is what bounds them.
 
-Monitored ports carry a ``PortTrace``: one exact log of queue events, from
-which ``trace.csv`` and the analysis samples derive, plus the ground-truth
-annotations (first-window arrivals and departures, per-round arrival
-spans, first drop) that the analysis stage uses for phase segmentation.
+Monitored ports carry a ``PortTrace``, the one trace type: an exact log of
+queue events, from which ``trace.csv``, the analysis samples and the first
+drop derive, plus the ground-truth annotations (first-window arrivals and
+departures, per-round arrival spans) that phase segmentation uses.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import deque
+from functools import cached_property
 
 from .packets import DATA
 from .units import quantize_down, serialization_ns
@@ -39,12 +41,23 @@ def stamp_telemetry(now_ns: int, queue_bytes: int, fidelity: bool):
     return now_ns, queue_bytes
 
 
+class _SampleTimes(list):
+    """Sorted sample times with numpy's ``searchsorted`` lookup, which the
+    traced benchmark uses to count the samples of each ``fit_slope`` window."""
+
+    def searchsorted(self, value, side="left"):
+        return (bisect_right if side == "right" else bisect_left)(self, value)
+
+
 class PortTrace:
     """Exact event log and ground-truth annotations for one monitored port.
 
     ``log`` holds one tuple of exact integers per event: (time_ns,
     queue_before, queue_after, flow_id, code).  Telemetry stamps are applied
     only when ``trace.csv`` is written, so the log is the same in every mode.
+    ``times`` (sorted ns) and ``occupancy`` (bytes queued after) hold one
+    sample per enqueue and dequeue, none per drop; they and ``first_drop_ns``
+    derive from the log once, on first read, so recording only appends.
     """
 
     def __init__(self, port_id, fidelity=False):
@@ -56,7 +69,22 @@ class PortTrace:
         self.first_window_last_ns = None     # first-window packet
         self.first_window_last_departure_ns = None
         self.round_spans = {}   # send round -> [first_ns, last_ns] of arrivals
-        self.first_drop_ns = None
+
+    @cached_property
+    def times(self):
+        return _SampleTimes([e[0] for e in self.log if e[4] != DROP])
+
+    @cached_property
+    def occupancy(self):
+        return [e[2] for e in self.log if e[4] != DROP]
+
+    @cached_property
+    def first_drop_ns(self):
+        return next((e[0] for e in self.log if e[4] == DROP), None)
+
+    def occupancy_at(self, t_ns):
+        idx = bisect_right(self.times, t_ns) - 1
+        return 0 if idx < 0 else self.occupancy[idx]
 
     def record_enqueue(self, now, q_before, q_after, pkt, marked):
         if pkt.kind != DATA:
@@ -85,8 +113,6 @@ class PortTrace:
 
     def record_drop(self, now, q_now, pkt):
         self.log.append((now, q_now, q_now, pkt.flow_id, DROP))
-        if self.first_drop_ns is None:
-            self.first_drop_ns = now
 
     def csv_lines(self):
         """The port's ``trace.csv`` lines; data enqueues carry the stamp,

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microburst.analysis import (InsufficientData, QueueTrace, _percentile,
-                                 fit_slope, later_phases, segment_phases,
+from microburst.analysis import (InsufficientData, _percentile, fit_slope,
+                                 later_phases, segment_phases,
                                  slope_distribution, slope_upper_bound,
                                  time_weighted_stddev)
 from microburst.config import RunConfig
-from microburst.netmodel import PortTrace
+from microburst.netmodel import DROP, ENQUEUE, PortTrace
 from microburst.sim import run_simulation
 
 
 def synthetic_trace(times, occupancy):
-    return QueueTrace("syn", list(times), list(occupancy), PortTrace("syn"))
+    """A trace whose samples are exactly ``times`` and ``occupancy``."""
+    trace = PortTrace("syn")
+    trace.log = [(t, 0, q, 0, ENQUEUE) for t, q in zip(times, occupancy)]
+    return trace
 
 
 def test_fit_slope_exact_on_linear_trace():
@@ -177,11 +180,10 @@ def law1_result(seed=1):
 
 def test_segment_phases_sync_fanin():
     res = law1_result()
-    trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+    trace = res.traces["root->t4"]
     report = segment_phases(trace, res.first_ece_cut_ns)
-    ann = trace.annotations
     # phase 1 ends when the last first-window packet clears the port
-    assert report.phase1.end_ns == ann.first_window_last_departure_ns
+    assert report.phase1.end_ns == trace.first_window_last_departure_ns
     # height = queue level once the first-round burst has cleared; above the
     # 54KB burst residue, well below the buffer
     assert 40_000 <= report.phase1.height_bytes <= 250_000
@@ -191,8 +193,25 @@ def test_segment_phases_sync_fanin():
     assert report.phase1.slope_bps > report.phase2.slope_bps
     # phase 2 ends at the first congestion reaction: the tail drop, give or
     # take the final enqueue that fills the buffer
-    assert ann.first_drop_ns - 50_000 <= report.phase2.end_ns <= ann.first_drop_ns
+    assert (trace.first_drop_ns - 50_000 <= report.phase2.end_ns
+            <= trace.first_drop_ns)
     assert 0.9e9 <= report.phase2.slope_bps <= 1.1e9
+
+
+def test_trace_derives_its_samples_once_on_first_read():
+    res = law1_result()
+    trace = res.traces["root->t4"]
+    # recording only appends to the log
+    assert not {"times", "occupancy", "first_drop_ns"} & vars(trace).keys()
+    report = segment_phases(trace, res.first_ece_cut_ns)
+    times, occupancy = trace.times, trace.occupancy
+    assert segment_phases(trace, res.first_ece_cut_ns) == report
+    assert trace.times is times and trace.occupancy is occupancy
+    # one sample per enqueue and dequeue, none per drop
+    drops = [t for t, _, _, _, code in trace.log if code == DROP]
+    assert drops and trace.first_drop_ns == drops[0]
+    assert list(zip(times, occupancy)) == [
+        (t, q_after) for t, _, q_after, _, code in trace.log if code != DROP]
 
 
 def test_single_small_burst_has_no_phase2():
@@ -201,7 +220,7 @@ def test_single_small_burst_has_no_phase2():
                               "response_bytes": 4_500},
                     duration_ns=2_000_000)
     res = run_simulation(cfg)
-    trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+    trace = res.traces["root->t4"]
     report = segment_phases(trace, res.first_ece_cut_ns)
     assert report.phase2 is None
 
@@ -213,7 +232,7 @@ def test_same_hop_scenario_has_multiple_later_phases():
                               "delay_ns": 20_000_000, "jitter_ns": 5_000},
                     duration_ns=40_000_000)
     res = run_simulation(cfg)
-    trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+    trace = res.traces["root->t4"]
     assert len(later_phases(trace)) >= 3
 
 
@@ -226,7 +245,7 @@ def test_phase1_slope_grows_with_fanin_count():
                                   "jitter_ns": 20_000},
                         duration_ns=6_000_000)
         res = run_simulation(cfg)
-        trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+        trace = res.traces["root->t4"]
         means.append(segment_phases(trace, res.first_ece_cut_ns).phase1.slope_bps)
     assert means[0] < means[1] < means[2]
     assert all(m > 1e9 for m in means)    # phase 1 always beyond port rate
@@ -241,7 +260,7 @@ def test_same_hop_slope_similar_across_background_counts():
                                   "delay_ns": 20_000_000, "jitter_ns": 5_000},
                         duration_ns=40_000_000)
         res = run_simulation(cfg)
-        trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+        trace = res.traces["root->t4"]
         slopes.append(segment_phases(trace, res.first_ece_cut_ns).phase2.slope_bps)
     assert all(s < 0.5e9 for s in slopes)          # well below the port rate
     assert max(slopes) <= 1.5 * min(slopes)        # and mutually similar

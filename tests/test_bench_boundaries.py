@@ -8,7 +8,7 @@ import statistics
 
 import pytest
 
-from microburst.analysis import QueueTrace, fit_slope, segment_phases
+from microburst.analysis import fit_slope, segment_phases
 from microburst.config import RunConfig
 from microburst.engine import Engine
 from microburst.netmodel import Port
@@ -41,7 +41,7 @@ def test_every_traced_boundary_is_a_function_of_the_package(monkeypatch):
 
 def test_traced_fit_sizes_count_the_samples_fit_slope_fits(monkeypatch):
     """The traced pass sizes each ``analysis.fit_slope`` call by its window's
-    sample count through ``QueueTrace.times.searchsorted``; that count is
+    sample count through ``PortTrace.times.searchsorted``; that count is
     the number of samples, ends included, the slope is fitted to."""
     monkeypatch.syspath_prepend(PERFBENCH)
     tracing = importlib.import_module("tracing")
@@ -49,7 +49,7 @@ def test_traced_fit_sizes_count_the_samples_fit_slope_fits(monkeypatch):
         seed=1, protocol="TCP", duration_ns=6_000_000,
         scenario={"kind": "sync_fanin", "n": 18, "response_bytes": 1_000_000,
                   "jitter_ns": 20_000}))
-    trace = QueueTrace.from_port_trace(res.traces["root->t4"])
+    trace = res.traces["root->t4"]
     report = segment_phases(trace, res.first_ece_cut_ns)
     times = trace.times
     windows = [(report.phase1.start_ns, report.phase1.end_ns),

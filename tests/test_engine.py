@@ -239,18 +239,20 @@ class _OneHeapEngine:
     def run_until(self, t_end_ns):
         heap = self._heap
         n = 0
-        while heap and heap[0][0] <= t_end_ns:
-            entry = heappop(heap)
-            t, _, fn, arg = entry
-            if fn is None:
-                continue
-            entry[2] = None
-            self.now = t
-            n += 1
-            fn(t, arg)
-        if n:
-            self.events_dispatched += n
-            self.last_dispatch_ns = self.now
+        try:
+            while heap and heap[0][0] <= t_end_ns:
+                entry = heappop(heap)
+                t, _, fn, arg = entry
+                if fn is None:
+                    continue
+                entry[2] = None
+                self.now = t
+                n += 1
+                fn(t, arg)
+        finally:
+            if n:
+                self.events_dispatched += n
+                self.last_dispatch_ns = self.now
         if t_end_ns > self.now:
             self.now = t_end_ns
 
@@ -301,9 +303,12 @@ _TWO_HEAP_PROGRAM = st.fixed_dictionaries({
 @settings(max_examples=150)
 @given(_TWO_HEAP_PROGRAM)
 def test_two_heaps_dispatch_as_one_heap(program):
-    assert (_replay(program, _run_loop_past_raises, Engine, full=True)
-            == _replay(program, _run_loop_past_raises, _OneHeapEngine,
-                       full=True))
+    got = _replay(program, _run_loop_past_raises, Engine, full=True)
+    assert got == _replay(program, _run_loop_past_raises, _OneHeapEngine,
+                          full=True)
+    # every handler that ran counts, a raising one too
+    log, _, dispatched = got[:3]
+    assert dispatched == sum(entry[0] == "fire" for entry in log)
 
 
 def test_a_raising_hot_handler_leaves_the_next_run_in_order():
@@ -328,7 +333,11 @@ def test_a_raising_hot_handler_leaves_the_next_run_in_order():
     assert [entry[3] for entry in eng._far] == ["far"]
     with pytest.raises(RuntimeError):
         eng.run_until(1 << 40)
+    # the raising handler counts, and time stays at it
+    assert (eng.events_dispatched, eng.last_dispatch_ns, eng.now) == (
+        1, 1_000, 1_000)
     eng.run_until(1 << 40)
     assert fired == [(1_000, "raises"), (_HOT + 10, "far"),
                      (_HOT + 15, "hot child of far"), (_HOT + 20, "hot")]
     assert eng.pending() == []
+    assert eng.events_dispatched == 4

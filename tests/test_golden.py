@@ -14,6 +14,7 @@ and paste the printed table over ``DIGESTS``.
 import contextlib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -22,6 +23,9 @@ import yaml
 
 from microburst.cli import main
 from microburst.config import config_from_dict, effective_yaml
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                   "src")
 
 FILES = ("trace.csv", "flows.csv", "queries.csv", "metrics.csv", "summary.txt")
 
@@ -134,13 +138,16 @@ DIGESTS = {
 }
 
 
-def run_digests(name, workdir):
-    raw = CASES[name]
+def write_case(name, workdir):
+    """The case's config file and its output directory, both in ``workdir``."""
     cfg_path = os.path.join(workdir, f"{name}.yaml")
     with open(cfg_path, "w") as fh:
-        yaml.safe_dump(raw, fh)
-    out = os.path.join(workdir, name)
-    assert main(["run", cfg_path, "--out", out]) == 0
+        yaml.safe_dump(CASES[name], fh)
+    return cfg_path, os.path.join(workdir, name)
+
+
+def output_digests(name, out):
+    raw = CASES[name]
     if "sweep" in raw:
         param = raw["sweep"]["param"].split(".")[-1]
         out = os.path.join(out, f"{param}={raw['sweep']['values'][0]}")
@@ -155,11 +162,31 @@ def run_digests(name, workdir):
     return digests
 
 
+def run_digests(name, workdir):
+    cfg_path, out = write_case(name, workdir)
+    assert main(["run", cfg_path, "--out", out]) == 0
+    return output_digests(name, out)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_golden_digests(name, tmp_path):
     got = run_digests(name, str(tmp_path))
     changed = [f for f in FILES if got[f] != DIGESTS[name][f]]
     assert not changed, f"{name}: output bytes changed in {changed}"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "4242"])
+def test_outputs_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    """A fresh interpreter, as a worker process would be, writes the golden
+    bytes whatever its hash seed."""
+    name = "tcp_fanin_drops"
+    cfg_path, out = write_case(name, str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    done = subprocess.run(
+        [sys.executable, "-m", "microburst.cli", "run", cfg_path,
+         "--out", out], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert output_digests(name, out) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

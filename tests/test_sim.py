@@ -8,7 +8,6 @@ import weakref
 import pytest
 
 from microburst import sim
-from microburst.analysis import QueueTrace
 from microburst.config import PROTOCOLS, RunConfig
 from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
@@ -170,7 +169,7 @@ def test_telemetry_mode_changes_only_trace_csv(tmp_path):
             scenario={"kind": "sync_fanin", "n": 8,
                       "response_bytes": 200_000, "jitter_ns": 20_000}))
         write_outputs(res, str(tmp_path / mode))
-        out[mode] = (QueueTrace.from_port_trace(res.traces["root->t4"]),
+        out[mode] = (res.traces["root->t4"],
                      {name: (tmp_path / mode / name).read_text()
                       for name in ("trace.csv", "flows.csv", "metrics.csv")})
     (exact, exact_files), (fid, fid_files) = out["exact"], out["fidelity"]
