@@ -11,12 +11,16 @@ the sender's window is what bounds them.
 Monitored ports carry a ``PortTrace``, the one trace type: an exact log of
 queue events, from which ``trace.csv``, the analysis samples and the first
 drop derive, plus the ground-truth annotations (first-window arrivals and
-departures, per-round arrival spans) that phase segmentation uses.
+departures, per-round arrival spans) that phase segmentation uses.  The log
+is one flat list of five ints per event, and a port hands it the queue-length
+ints it holds, so each event's queue-before is the previous event's
+queue-after object and an event adds only its time and new length.
 """
 
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
+from itertools import compress
 
 from .packets import DATA
 from .units import quantize_down, serialization_ns
@@ -52,12 +56,16 @@ class _SampleTimes(list):
 class PortTrace:
     """Exact event log and ground-truth annotations for one monitored port.
 
-    ``log`` holds one tuple of exact integers per event: (time_ns,
-    queue_before, queue_after, flow_id, code).  Telemetry stamps are applied
-    only when ``trace.csv`` is written, so the log is the same in every mode.
-    ``times`` (sorted ns) and ``occupancy`` (bytes queued after) hold one
-    sample per enqueue and dequeue, none per drop; they and ``first_drop_ns``
-    derive from the log once, on first read, so recording only appends.
+    ``log`` is one flat list of exact integers, five per event: time_ns,
+    queue_before, queue_after, flow_id, code; ``rows()`` yields them as
+    tuples.  The port passes the queue-length int it holds as queue_before
+    and the new one as queue_after, so consecutive events share one int
+    object (a drop's queue_after is its queue_before).  Telemetry stamps are
+    applied only when ``trace.csv`` is written, so the log is the same in
+    every mode.  ``times`` (sorted ns) and ``occupancy`` (bytes queued
+    after) hold one sample per enqueue and dequeue, none per drop; they and
+    ``first_drop_ns`` derive from the log once, on first read, so recording
+    only appends.
     """
 
     def __init__(self, port_id, fidelity=False):
@@ -70,17 +78,31 @@ class PortTrace:
         self.first_window_last_departure_ns = None
         self.round_spans = {}   # send round -> [first_ns, last_ns] of arrivals
 
+    def rows(self):
+        """The log's events as (time_ns, queue_before, queue_after, flow_id,
+        code) tuples."""
+        it = iter(self.log)
+        return zip(it, it, it, it, it)
+
+    def _samples(self, column):
+        """``column`` of every event but the drops."""
+        log = self.log
+        return compress(log[column::5], map(DROP.__ne__, log[4::5]))
+
     @cached_property
     def times(self):
-        return _SampleTimes([e[0] for e in self.log if e[4] != DROP])
+        return _SampleTimes(self._samples(0))
 
     @cached_property
     def occupancy(self):
-        return [e[2] for e in self.log if e[4] != DROP]
+        return list(self._samples(2))
 
     @cached_property
     def first_drop_ns(self):
-        return next((e[0] for e in self.log if e[4] == DROP), None)
+        try:
+            return self.log[5 * self.log[4::5].index(DROP)]
+        except ValueError:
+            return None
 
     def occupancy_at(self, t_ns):
         idx = bisect_right(self.times, t_ns) - 1
@@ -88,9 +110,9 @@ class PortTrace:
 
     def record_enqueue(self, now, q_before, q_after, pkt, marked):
         if pkt.kind != DATA:
-            self.log.append((now, q_before, q_after, pkt.flow_id, ACK_ENQUEUE))
+            self.log.extend((now, q_before, q_after, pkt.flow_id, ACK_ENQUEUE))
             return
-        self.log.append((now, q_before, q_after, pkt.flow_id,
+        self.log.extend((now, q_before, q_after, pkt.flow_id,
                          ENQUEUE_MARKED if marked else ENQUEUE))
         rnd = pkt.send_round
         if rnd >= 0:
@@ -105,31 +127,31 @@ class PortTrace:
             else:
                 span[1] = now
 
-    def record_dequeue(self, now, q_after, pkt):
-        self.log.append((now, q_after + pkt.size, q_after, pkt.flow_id,
-                         DEQUEUE))
+    def record_dequeue(self, now, q_before, q_after, pkt):
+        self.log.extend((now, q_before, q_after, pkt.flow_id, DEQUEUE))
         if pkt.kind == DATA and pkt.first_window:
             self.first_window_last_departure_ns = now
 
     def record_drop(self, now, q_now, pkt):
-        self.log.append((now, q_now, q_now, pkt.flow_id, DROP))
+        self.log.extend((now, q_now, q_now, pkt.flow_id, DROP))
 
     def csv_lines(self):
-        """The port's ``trace.csv`` lines; data enqueues carry the stamp,
-        and a marked one is followed by an exact ``mark`` line."""
+        """The port's ``trace.csv`` lines; data enqueues carry the stamp in
+        fidelity mode, and a marked one is followed by an exact ``mark``
+        line."""
         port_id, fidelity = self.port_id, self.fidelity
-        for t, q_before, q_after, flow, code in self.log:
+        for t, q_before, q_after, flow, code in self.rows():
             if code == DEQUEUE:
                 yield f"{t},{port_id},{q_after},{flow},dequeue\n"
-            elif code == ACK_ENQUEUE:
-                yield f"{t},{port_id},{q_before},{flow},enqueue\n"
             elif code == DROP:
                 yield f"{t},{port_id},{q_before},{flow},drop\n"
+            elif code == ACK_ENQUEUE or not fidelity:
+                yield f"{t},{port_id},{q_before},{flow},enqueue\n"
             else:
-                t_stamp, q_stamp = stamp_telemetry(t, q_before, fidelity)
+                t_stamp, q_stamp = stamp_telemetry(t, q_before, True)
                 yield f"{t_stamp},{port_id},{q_stamp},{flow},enqueue\n"
-                if code == ENQUEUE_MARKED:
-                    yield f"{t},{port_id},{q_before},{flow},mark\n"
+            if code == ENQUEUE_MARKED:
+                yield f"{t},{port_id},{q_before},{flow},mark\n"
 
 
 def _forward(now, arg):
@@ -189,13 +211,13 @@ class Port:
             pkt.ecn_marked = True
             marked = True
             self.marks += 1
-        qb += size
-        self.queue_bytes = qb
+        q_after = qb + size
+        self.queue_bytes = q_after
         self.bytes_in += size
-        if qb > self.max_queue_bytes:
-            self.max_queue_bytes = qb
+        if q_after > self.max_queue_bytes:
+            self.max_queue_bytes = q_after
         if self.trace is not None:
-            self.trace.record_enqueue(now, qb - size, qb, pkt, marked)
+            self.trace.record_enqueue(now, qb, q_after, pkt, marked)
         queue = self.queue
         if queue:
             queue.append(pkt)
@@ -211,11 +233,12 @@ class Port:
         queue = self.queue
         pkt = queue.popleft()
         size = pkt.size
-        qb = self.queue_bytes - size
-        self.queue_bytes = qb
+        qb = self.queue_bytes
+        q_after = qb - size
+        self.queue_bytes = q_after
         self.bytes_out += size
         if self.trace is not None:
-            self.trace.record_dequeue(now, qb, pkt)
+            self.trace.record_dequeue(now, qb, q_after, pkt)
         if queue:
             size = queue[0].size
             try:

@@ -16,7 +16,8 @@ from microburst.sim import run_simulation
 def synthetic_trace(times, occupancy):
     """A trace whose samples are exactly ``times`` and ``occupancy``."""
     trace = PortTrace("syn")
-    trace.log = [(t, 0, q, 0, ENQUEUE) for t, q in zip(times, occupancy)]
+    trace.log = [x for t, q in zip(times, occupancy)
+                 for x in (t, 0, q, 0, ENQUEUE)]
     return trace
 
 
@@ -208,10 +209,11 @@ def test_trace_derives_its_samples_once_on_first_read():
     assert segment_phases(trace, res.first_ece_cut_ns) == report
     assert trace.times is times and trace.occupancy is occupancy
     # one sample per enqueue and dequeue, none per drop
-    drops = [t for t, _, _, _, code in trace.log if code == DROP]
+    drops = [t for t, _, _, _, code in trace.rows() if code == DROP]
     assert drops and trace.first_drop_ns == drops[0]
     assert list(zip(times, occupancy)) == [
-        (t, q_after) for t, _, q_after, _, code in trace.log if code != DROP]
+        (t, q_after) for t, _, q_after, _, code in trace.rows()
+        if code != DROP]
 
 
 def test_single_small_burst_has_no_phase2():

@@ -1,7 +1,7 @@
 from heapq import heappop, heappush
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microburst import sim
 from microburst.engine import HOT_WINDOW_NS, Engine, SchedulingInPast
@@ -302,6 +302,15 @@ _TWO_HEAP_PROGRAM = st.fixed_dictionaries({
 
 @settings(max_examples=150)
 @given(_TWO_HEAP_PROGRAM)
+# raising handlers that are dispatched: a hot one (label 2, at 1 ns, inside
+# the run_until before the start at 5 ns) and a far one (label 5, at 5 ns +
+# HOT_WINDOW_NS), with events dispatched before and after each raise
+@example({"starts": [0, 5],
+          "reactions": [[("schedule", 1)], [("schedule", _HOT)],
+                        [("schedule", 0), ("schedule", 2)],
+                        [("schedule", 3)], [("schedule", 0)],
+                        [("schedule", 1)]] + [[("cancel", 0)]] * 4,
+          "raises": {2, 5}, "horizon": 1 << 40})
 def test_two_heaps_dispatch_as_one_heap(program):
     got = _replay(program, _run_loop_past_raises, Engine, full=True)
     assert got == _replay(program, _run_loop_past_raises, _OneHeapEngine,

@@ -140,8 +140,8 @@ def test_trace_records_pre_admission_queue():
     port.trace = PortTrace("p")
     port.enqueue(data_pkt(seq=0), 0)
     port.enqueue(data_pkt(seq=1500), 0)
-    assert port.trace.log == [(0, 0, 1500, 0, ENQUEUE),
-                              (0, 1500, 3000, 0, ENQUEUE)]
+    assert list(port.trace.rows()) == [(0, 0, 1500, 0, ENQUEUE),
+                                       (0, 1500, 3000, 0, ENQUEUE)]
     assert list(port.trace.csv_lines()) == ["0,p,0,0,enqueue\n",
                                             "0,p,1500,0,enqueue\n"]
 
@@ -223,7 +223,7 @@ class ThreeStoreTrace:
             else:
                 span[1] = now
 
-    def record_dequeue(self, now, q_after, pkt):
+    def record_dequeue(self, now, q_before, q_after, pkt):
         self.times.append(now)
         self.occupancy.append(q_after)
         self.rows.append((now, q_after, pkt.flow_id, "dequeue"))
@@ -341,7 +341,7 @@ class HopReference:
     are taken in the order they were scheduled.
 
     Packets are ``(flow_id, kind, size)`` with their remaining port ids;
-    ``log`` holds each port's ``PortTrace`` log tuples and ``delivered`` the
+    ``log`` holds each port's ``PortTrace`` rows and ``delivered`` the
     ``(time, flow_id)`` of every arrival at a host."""
 
     def __init__(self, cfg):
@@ -462,5 +462,6 @@ def test_network_hops_match_the_reference(fields, injections):
                [f"{a}->{b}" for a, b in zip(nodes, nodes[1:])])
     engine.run_until(1 << 62)
     ref.run()
-    assert {pid: port.trace.log for pid, port in net.ports.items()} == ref.log
+    assert {pid: list(port.trace.rows())
+            for pid, port in net.ports.items()} == ref.log
     assert net.delivered == ref.delivered

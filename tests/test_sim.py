@@ -4,20 +4,23 @@ conservation, determinism, telemetry modes."""
 import gc
 import re
 import weakref
+from collections import Counter, deque
 
 import pytest
 
 from microburst import sim
-from microburst.config import PROTOCOLS, RunConfig
+from microburst.config import PROTOCOLS, RunConfig, config_from_dict
 from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
-from microburst.netmodel import Port
-from microburst.packets import ACK, DATA, Packet
+from microburst.netmodel import (ACK_ENQUEUE, DEQUEUE, DROP, ENQUEUE_MARKED,
+                                 Port)
+from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
 from microburst.sim import AuditError, run_simulation, write_outputs
 from microburst.topology import HOSTS
 from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
 from microburst.units import GBPS
+from test_golden import CASES, FANIN
 
 MSS = 1500
 
@@ -48,7 +51,7 @@ def test_fifty_four_first_round_packets_converge_on_root():
     res = run_sync(18)
     ann = res.traces["root->t4"]
     assert ann.first_window_bytes == 54 * MSS
-    burst = {flow for t, _, _, flow, _ in ann.log
+    burst = {flow for t, _, _, flow, _ in ann.rows()
              if t <= ann.first_window_last_ns}
     assert burst == set(range(18))
 
@@ -118,6 +121,41 @@ def test_different_seed_changes_schedule():
     a = run_sync(18, seed=1)
     b = run_sync(18, seed=2)
     assert a.traces["root->t4"].log != b.traces["root->t4"].log
+
+
+# tail drops on root->t4, and slope marks on it with the ACKs of the same
+# flows traced on t4->root
+TRACED_RUNS = (
+    CASES["tcp_fanin_drops"],
+    {"seed": 2, "protocol": "SL-ECN", "scenario": dict(FANIN, n=8),
+     "telemetry": {"mode": "exact", "ports": ["root->t4", "t4->root"]}},
+)
+
+
+def test_trace_rows_share_the_ports_queue_length_ints():
+    codes = Counter()
+    for raw in TRACED_RUNS:
+        res = run_simulation(config_from_dict(raw))
+        for trace in res.traces.values():
+            assert trace.log and len(trace.log) % 5 == 0
+            rows = list(trace.rows())
+            # each row starts from the queue-length int the previous one left
+            assert rows[0][1] == 0
+            assert all(row[1] is prev[2] for prev, row in zip(rows, rows[1:]))
+            queued = deque()    # the size of each admitted packet, in order
+            for _, q_before, q_after, _, code in rows:
+                codes[code] += 1
+                change = q_after - q_before
+                if code == DROP:
+                    assert change == 0
+                elif code == DEQUEUE:
+                    assert -change == queued.popleft()
+                else:   # an admission: an ACK, or data of at most one MSS
+                    assert (change == ACK_SIZE if code == ACK_ENQUEUE
+                            else 0 < change <= MSS)
+                    queued.append(change)
+            assert not queued and rows[-1][2] == 0  # both runs drain
+    assert codes[DROP] and codes[ENQUEUE_MARKED] and codes[ACK_ENQUEUE]
 
 
 def test_trace_is_freed_with_its_result_not_with_the_network():
