@@ -6,6 +6,7 @@ every switch port.
 """
 
 import copy
+import functools
 import itertools
 
 from .topology import PORT_IDS
@@ -280,8 +281,14 @@ def effective_yaml(cfg: RunConfig) -> str:
     for section, names in _SECTIONS.items():
         raw[section] = {name: flat[_field_name(section, name)]
                         for name in names}
-    # a list or dict two fields share is written out in full, never aliased
-    dumper = type("Dumper", (yaml.SafeDumper,),
-                  {"ignore_aliases": lambda self, data: True})
-    return yaml.dump(raw, Dumper=dumper, sort_keys=True,
+    return yaml.dump(raw, Dumper=_yaml_dumper(), sort_keys=True,
                      default_flow_style=False)
+
+
+@functools.cache
+def _yaml_dumper():
+    """The safe dumper, built on first use so PyYAML still loads lazily: a
+    list or dict two fields share is written out in full, never aliased."""
+    import yaml
+    return type("Dumper", (yaml.SafeDumper,),
+                {"ignore_aliases": lambda self, data: True})

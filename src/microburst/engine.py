@@ -105,8 +105,10 @@ class Engine:
             while True:
                 if heap:
                     entry = heap[0]
-                    if not far or entry < far[0]:
-                        t, _, fn, arg = entry
+                    t, _, fn, arg = entry
+                    # times first; whole entries (time, seq) only on a tie
+                    if (not far or t < far[0][0]
+                            or (t == far[0][0] and entry < far[0])):
                         if t > t_end_ns:
                             break
                         if fn is None:

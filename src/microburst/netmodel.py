@@ -30,6 +30,7 @@ ACK_ENQUEUE, ENQUEUE, ENQUEUE_MARKED, DEQUEUE, DROP = range(5)
 
 TIME_QUANTUM_NS = 800   # telemetry timestamp register tick
 QUEUE_QUANTUM_B = 8     # telemetry queue-length register granularity
+CSV_CHUNK_ROWS = 1024   # log events per trace.csv chunk
 
 
 def stamp_telemetry(now_ns: int, queue_bytes: int, fidelity: bool):
@@ -135,23 +136,33 @@ class PortTrace:
     def record_drop(self, now, q_now, pkt):
         self.log.extend((now, q_now, q_now, pkt.flow_id, DROP))
 
-    def csv_lines(self):
-        """The port's ``trace.csv`` lines; data enqueues carry the stamp in
-        fidelity mode, and a marked one is followed by an exact ``mark``
+    def csv_chunks(self):
+        """The port's ``trace.csv`` text, one string per ``CSV_CHUNK_ROWS``
+        events of the log, so a writer holds one chunk and never the whole
+        trace; an empty log yields nothing.  Data enqueues carry the stamp
+        in fidelity mode, and a marked one is followed by an exact ``mark``
         line."""
-        port_id, fidelity = self.port_id, self.fidelity
-        for t, q_before, q_after, flow, code in self.rows():
-            if code == DEQUEUE:
-                yield f"{t},{port_id},{q_after},{flow},dequeue\n"
-            elif code == DROP:
-                yield f"{t},{port_id},{q_before},{flow},drop\n"
-            elif code == ACK_ENQUEUE or not fidelity:
-                yield f"{t},{port_id},{q_before},{flow},enqueue\n"
-            else:
-                t_stamp, q_stamp = stamp_telemetry(t, q_before, True)
-                yield f"{t_stamp},{port_id},{q_stamp},{flow},enqueue\n"
-            if code == ENQUEUE_MARKED:
-                yield f"{t},{port_id},{q_before},{flow},mark\n"
+        log, fidelity = self.log, self.fidelity
+        infix = f",{self.port_id},"
+        step = 5 * CSV_CHUNK_ROWS
+        for start in range(0, len(log), step):
+            it = iter(log[start:start + step])
+            lines = []
+            append = lines.append
+            for t, q_before, q_after, flow, code in zip(it, it, it, it, it):
+                if code == DEQUEUE:
+                    append(f"{t}{infix}{q_after},{flow},dequeue\n")
+                elif code == DROP:
+                    append(f"{t}{infix}{q_before},{flow},drop\n")
+                else:
+                    if code == ACK_ENQUEUE or not fidelity:
+                        append(f"{t}{infix}{q_before},{flow},enqueue\n")
+                    else:
+                        t_stamp, q_stamp = stamp_telemetry(t, q_before, True)
+                        append(f"{t_stamp}{infix}{q_stamp},{flow},enqueue\n")
+                    if code == ENQUEUE_MARKED:
+                        append(f"{t}{infix}{q_before},{flow},mark\n")
+            yield "".join(lines)
 
 
 def _forward(now, arg):

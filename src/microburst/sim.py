@@ -290,7 +290,7 @@ def write_outputs(result: RunResult, out_dir: str) -> None:
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="\n") as fh:
         fh.write("time_ns,port_id,queue_bytes,flow_id,event\n")
         for port_id in sorted(result.traces):
-            fh.writelines(result.traces[port_id].csv_lines())
+            fh.writelines(result.traces[port_id].csv_chunks())
 
     with open(os.path.join(out_dir, "flows.csv"), "w", newline="\n") as fh:
         fh.write("flow_id,bytes,start_ns,end_ns,retransmits,timeouts\n")

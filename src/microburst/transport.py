@@ -139,7 +139,11 @@ class Sender:
     def _send_available(self, now):
         mss = self.mss
         total = self.total
-        while self.next_seq < total and self.next_seq - self.highest_acked < self.cwnd:
+        seq = self.next_seq
+        # emitting only schedules events and calls back into no endpoint,
+        # so the window cannot move during the loop
+        limit = min(self.highest_acked + self.cwnd, total)
+        while seq < limit:
             if self.pacing:
                 interval = self.srtt * mss // max(self.cwnd, mss)
                 if now < self.pace_next:
@@ -148,12 +152,13 @@ class Sender:
                             self.pace_next, self._pace_fire, None)
                     return
                 self.pace_next = now + interval
-            size = min(mss, total - self.next_seq)
-            rexmit = self.next_seq < self.recover   # resend after a timeout rewind
+            size = total - seq if total - seq < mss else mss
+            rexmit = seq < self.recover   # resend after a timeout rewind
             if rexmit:
                 self.flow.retransmits += 1
-            self._emit(self.next_seq, size, now, retransmit=rexmit)
-            self.next_seq += size
+            self._emit(seq, size, now, retransmit=rexmit)
+            seq += size
+            self.next_seq = seq
 
     def _pace_fire(self, now, _):
         self.pace_timer = None

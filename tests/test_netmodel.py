@@ -142,8 +142,8 @@ def test_trace_records_pre_admission_queue():
     port.enqueue(data_pkt(seq=1500), 0)
     assert list(port.trace.rows()) == [(0, 0, 1500, 0, ENQUEUE),
                                        (0, 1500, 3000, 0, ENQUEUE)]
-    assert list(port.trace.csv_lines()) == ["0,p,0,0,enqueue\n",
-                                            "0,p,1500,0,enqueue\n"]
+    assert "".join(port.trace.csv_chunks()) == ("0,p,0,0,enqueue\n"
+                                                "0,p,1500,0,enqueue\n")
 
 
 def test_trace_stamps_data_but_not_acks():
@@ -154,9 +154,9 @@ def test_trace_stamps_data_but_not_acks():
     port.enqueue(data_pkt(flow=0), 1234)
     port.enqueue(Packet(1, ACK, 64, ()), 1234)
     port.enqueue(data_pkt(flow=2, seq=1500), 1234)
-    assert list(port.trace.csv_lines()) == ["800,p,0,0,enqueue\n",
-                                            "1234,p,1500,1,enqueue\n",
-                                            "800,p,1560,2,enqueue\n"]
+    assert "".join(port.trace.csv_chunks()) == ("800,p,0,0,enqueue\n"
+                                                "1234,p,1500,1,enqueue\n"
+                                                "800,p,1560,2,enqueue\n")
 
 
 def test_acks_share_queue_and_are_droppable():
@@ -297,8 +297,8 @@ def test_single_log_matches_three_store_reference(arrivals, fidelity):
         engine.schedule(t, _arrive, (port, pkt))
     engine.run_until(1 << 40)
 
-    assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
-                                     for t, q, flow, event in ref.rows]
+    assert "".join(new.csv_chunks()) == "".join(
+        f"{t},p,{q},{flow},{event}\n" for t, q, flow, event in ref.rows)
     assert new.times == ref.times
     assert new.occupancy == ref.occupancy
     # the annotations segment_phases and first_window_rate read
@@ -322,8 +322,8 @@ def test_reference_run_exercises_drops_and_marks():
         port.enqueue(data_pkt(seq=i * 1500), 0)
     events = [row[3] for row in ref.rows]
     assert events.count("mark") == 1 and events.count("drop") == 2
-    assert list(new.csv_lines()) == [f"{t},p,{q},{flow},{event}\n"
-                                     for t, q, flow, event in ref.rows]
+    assert "".join(new.csv_chunks()) == "".join(
+        f"{t},p,{q},{flow},{event}\n" for t, q, flow, event in ref.rows)
 
 
 # -- the network model against a reference written from its spec -------------

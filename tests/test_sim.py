@@ -2,7 +2,9 @@
 conservation, determinism, telemetry modes."""
 
 import gc
+import os
 import re
+import tracemalloc
 import weakref
 from collections import Counter, deque
 
@@ -12,8 +14,9 @@ from microburst import sim
 from microburst.config import PROTOCOLS, RunConfig, config_from_dict
 from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
-from microburst.netmodel import (ACK_ENQUEUE, DEQUEUE, DROP, ENQUEUE_MARKED,
-                                 Port)
+from microburst.netmodel import (ACK_ENQUEUE, CSV_CHUNK_ROWS, DEQUEUE, DROP,
+                                 ENQUEUE_MARKED, Port, PortTrace,
+                                 stamp_telemetry)
 from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
 from microburst.sim import AuditError, run_simulation, write_outputs
@@ -158,6 +161,73 @@ def test_trace_rows_share_the_ports_queue_length_ints():
     assert codes[DROP] and codes[ENQUEUE_MARKED] and codes[ACK_ENQUEUE]
 
 
+def reference_csv(trace):
+    """``trace``'s trace.csv text, formatted row by row from its log."""
+    lines = []
+    for t, q_before, q_after, flow, code in trace.rows():
+        if code == DEQUEUE:
+            lines.append(f"{t},{trace.port_id},{q_after},{flow},dequeue\n")
+        elif code == DROP:
+            lines.append(f"{t},{trace.port_id},{q_before},{flow},drop\n")
+        else:
+            t_stamp, q_stamp = stamp_telemetry(
+                t, q_before, trace.fidelity and code != ACK_ENQUEUE)
+            lines.append(f"{t_stamp},{trace.port_id},{q_stamp},{flow},"
+                         f"enqueue\n")
+            if code == ENQUEUE_MARKED:
+                lines.append(f"{t},{trace.port_id},{q_before},{flow},mark\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mode", ["exact", "fidelity"])
+def test_trace_csv_chunks_match_a_per_row_reference(mode):
+    spans = []
+    for raw in TRACED_RUNS:
+        telemetry = dict(raw.get("telemetry", {}), mode=mode)
+        res = run_simulation(config_from_dict(dict(raw, telemetry=telemetry)))
+        for trace in res.traces.values():
+            assert trace.fidelity == (mode == "fidelity")
+            chunks = list(trace.csv_chunks())
+            events = len(trace.log) // 5
+            # one chunk per CSV_CHUNK_ROWS events, each ending a line
+            assert len(chunks) == -(-events // CSV_CHUNK_ROWS)
+            assert all(chunk.endswith("\n") for chunk in chunks)
+            assert "".join(chunks) == reference_csv(trace)
+            spans.append(len(chunks))
+    assert max(spans) > 1
+
+
+def test_an_empty_trace_yields_no_text():
+    for fidelity in (False, True):
+        assert list(PortTrace("p", fidelity).csv_chunks()) == []
+
+
+def test_trace_csv_is_written_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # the golden tail-drop case, scaled up to a trace of many chunks
+    raw = dict(CASES["tcp_fanin_drops"],
+               scenario=dict(FANIN, n=18, response_bytes=2_000_000))
+    res = run_simulation(config_from_dict(raw))
+
+    class Written(Exception):
+        """Raised where write_outputs has written trace.csv and the flows."""
+
+    def stop(result):
+        raise Written
+
+    from microburst import analysis
+    monkeypatch.setattr(analysis, "compute_metrics", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Written):
+            write_outputs(res, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(tmp_path / "trace.csv")
+    assert size > 8 * CSV_CHUNK_ROWS * 30   # bytes: many chunks' worth
+    assert peak < size / 4
+
+
 def test_trace_is_freed_with_its_result_not_with_the_network():
     # the finished network is reference-cyclic: were a trace still held by
     # its port, it would live until the collector's next full pass
@@ -180,9 +250,10 @@ def test_telemetry_off_records_nothing():
 
 def enqueue_rows(trace):
     """(time, queue) of the trace.csv enqueue rows."""
-    rows = [line.split(",") for line in trace.csv_lines()]
+    rows = [line.split(",")
+            for line in "".join(trace.csv_chunks()).splitlines()]
     return [(int(t), int(q)) for t, _, q, _, event in rows
-            if event == "enqueue\n"]
+            if event == "enqueue"]
 
 
 def test_fidelity_mode_quantizes_stamped_rows():
