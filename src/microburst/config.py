@@ -8,6 +8,7 @@ every switch port.
 import copy
 import functools
 import itertools
+import os
 
 from .topology import PORT_IDS
 from .transport import NEWRENO, DCTCP, RTO_MAX_NS
@@ -39,13 +40,6 @@ DEFAULT_MONITOR_PORT = "root->t4"
 
 PRESET_PORTS = frozenset(PORT_IDS)
 
-# fields that count something and so must be integers >= the given minimum
-_COUNTS = {"duration_ns": 0, "link_rate_bps": 1, "prop_delay_ns": 0,
-           "hop_proc_ns": 0, "buffer_bytes": 0, "ecn_threshold_bytes": 0,
-           "mss_bytes": 1, "initial_window_packets": 1, "max_cwnd_packets": 1,
-           "rto_min_ns": 1, "initial_rtt_ns": 0, "stddev_after_ns": 0,
-           "drain_grace_ns": 0}
-
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
@@ -63,29 +57,60 @@ def check_int(path, value, minimum):
                                 f"got {value!r}")
 
 
-# every RunConfig field after seed, protocol and scenario, and its default
-_DEFAULTS = {
-    "duration_ns": 0,              # 0: run until the event set drains
-    # network
-    "link_rate_bps": GBPS, "prop_delay_ns": 0, "hop_proc_ns": 0,
-    "buffer_bytes": 512_000, "tor_uplink_buffer_bytes": None,
-    # switch marking
-    "ecn_threshold_bytes": 32_000,
-    # transport
-    "mss_bytes": 1500, "initial_window_packets": 3, "max_cwnd_packets": 64,
-    "rto_min_ns": 10_000_000, "dctcp_gain": 0.125, "dctcp_alpha0": 1.0,
-    "pacing": False, "initial_rtt_ns": 50_000,
-    # telemetry / metrics
-    "telemetry_mode": "exact",
-    "telemetry_ports": None,       # each config gets a fresh list
-    "stddev_after_ns": 2_000_000,
-    "drain_grace_ns": 0,           # extra time past duration for in-flight data
-    "sweep": None,                 # optional {param: dotted.path, values: [...]}
+# RunConfig's positional fields, which every config sets
+_REQUIRED = ("seed", "protocol", "scenario")
+# every other field's dotted YAML path -> (default, least allowed integer if
+# the field counts something, else None)
+_FIELDS = {
+    "duration_ns": (0, 0),         # 0: run until the event set drains
+    "network.link_rate_bps": (GBPS, 1),
+    "network.prop_delay_ns": (0, 0),
+    "network.hop_proc_ns": (0, 0),
+    "network.buffer_bytes": (512_000, 0),
+    "network.tor_uplink_buffer_bytes": (None, None),
+    "switch.ecn_threshold_bytes": (32_000, 0),
+    "transport.mss_bytes": (1500, 1),
+    "transport.initial_window_packets": (3, 1),
+    "transport.max_cwnd_packets": (64, 1),
+    "transport.rto_min_ns": (10_000_000, 1),
+    "transport.dctcp_gain": (0.125, None),
+    "transport.dctcp_alpha0": (1.0, None),
+    "transport.pacing": (False, None),
+    "transport.initial_rtt_ns": (50_000, 0),
+    "telemetry.mode": ("exact", None),
+    "telemetry.ports": (None, None),   # each config gets a fresh list
+    "metrics.stddev_after_ns": (2_000_000, 0),
+    "metrics.drain_grace_ns": (0, 0),  # extra time past duration for in-flight data
+    "sweep": (None, None),   # optional {param: dotted.path, values: [...]}
 }
 
 
+def _attr(path):
+    """The RunConfig attribute a dotted YAML path sets."""
+    section, _, key = path.rpartition(".")
+    return f"telemetry_{key}" if section == "telemetry" else key
+
+
+def _by_section():
+    """Each section's ``{YAML key: RunConfig attribute}``, in schema order."""
+    sections = {}
+    for path in _FIELDS:
+        section, _, key = path.rpartition(".")
+        if section:
+            sections.setdefault(section, {})[key] = _attr(path)
+    return sections
+
+
+# views of _FIELDS, built once; a sweep may name a _SWEEPABLE or scenario key
+_ATTRS = {path: _attr(path) for path in (*_REQUIRED, *_FIELDS)}
+_DEFAULTS = {_attr(path): default for path, (default, _) in _FIELDS.items()}
+_COUNTS = [(p, _attr(p), low) for p, (_, low) in _FIELDS.items() if low is not None]
+_SECTIONS = _by_section()
+_SWEEPABLE = set(_ATTRS) - {"sweep"}
+
+
 class RunConfig:
-    """A run's settings: seed, protocol, scenario, then ``_DEFAULTS`` fields."""
+    """A run's settings: seed, protocol, scenario, then each ``_FIELDS`` one."""
 
     def __init__(self, seed, protocol, scenario, **settings):
         for name in settings:
@@ -116,10 +141,10 @@ class RunConfig:
             raise ConfigError("scenario", "must be a mapping with a 'kind'")
         if self.telemetry_mode not in TELEMETRY_MODES:
             raise ConfigError("telemetry.mode",
-                              f"must be one of {TELEMETRY_MODES}")
-        for name, minimum in _COUNTS.items():
-            check_int(_FIELD_PATHS.get(name, name), getattr(self, name),
-                      minimum)
+                              f"must be one of {TELEMETRY_MODES}, "
+                              f"got {self.telemetry_mode!r}")
+        for path, attr, minimum in _COUNTS:
+            check_int(path, getattr(self, attr), minimum)
         # once a segment's wire time exceeds the largest RTO, resends enter
         # the sender's NIC faster than it drains them, and a drained run's
         # length grows exponentially with its flows' segment counts
@@ -168,69 +193,41 @@ class RunConfig:
             if param not in _SWEEPABLE and not param.startswith("scenario."):
                 raise ConfigError("sweep", f"param {param!r} names no config "
                                   f"field")
-            if len({str(value) for value in values}) < len(values):
+            labels = {str(value) for value in values}
+            if len(labels) < len(values):
                 raise ConfigError("sweep.values", f"each value names an output "
                                   f"subdirectory, so no two may read alike; "
                                   f"got {values!r}")
+            if any(sep and sep in "".join(labels) for sep in (os.sep, os.altsep)):
+                raise ConfigError("sweep.values", f"each value names an output "
+                                  f"subdirectory, so none may hold a path "
+                                  f"separator; got {values!r}")
         return self
 
     def host_algorithm(self):
         return PROTOCOLS[self.protocol][0]
 
 
-_SECTIONS = {
-    "network": ("link_rate_bps", "prop_delay_ns", "hop_proc_ns",
-                "buffer_bytes", "tor_uplink_buffer_bytes"),
-    "switch": ("ecn_threshold_bytes",),
-    "transport": ("mss_bytes", "initial_window_packets", "max_cwnd_packets",
-                  "rto_min_ns", "dctcp_gain", "dctcp_alpha0", "pacing",
-                  "initial_rtt_ns"),
-    "telemetry": ("mode", "ports"),
-    "metrics": ("stddev_after_ns", "drain_grace_ns"),
-}
-
-_TOP_FIELDS = ("seed", "protocol", "scenario", "duration_ns", "sweep")
-_TOP_KEYS = set(_TOP_FIELDS) | set(_SECTIONS)
-
-
-def _field_name(section, name):
-    """The RunConfig field a sectioned YAML key sets."""
-    return f"telemetry_{name}" if section == "telemetry" else name
-
-
-# sectioned RunConfig field -> its dotted path in the YAML file
-_FIELD_PATHS = {name: f"{section}.{name}"
-                for section, names in _SECTIONS.items() for name in names}
-# what a sweep's param may name, besides a scenario key
-_SWEEPABLE = (set(_TOP_FIELDS) - {"sweep"}) | set(_FIELD_PATHS.values())
-
-
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a mapping")
-    for key in raw:
-        if key not in _TOP_KEYS:
-            raise ConfigError(key, "unknown config key")
     kwargs = {}
-    for key in _TOP_FIELDS:
-        if key in raw:
-            kwargs[key] = raw[key]
-    for section, names in _SECTIONS.items():
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            if key not in _ATTRS or "." in key:
+                raise ConfigError(key, "unknown config key")
+            kwargs[key] = value
+    for section, attrs in _SECTIONS.items():
         sub = raw.get(section) or {}
         if not isinstance(sub, dict):
             raise ConfigError(section, "must be a mapping")
-        for key in sub:
-            if key not in names:
+        for key, value in sub.items():
+            if key not in attrs:
                 raise ConfigError(f"{section}.{key}", "unknown config key")
-        for name in names:
-            if name in sub:
-                kwargs[_field_name(section, name)] = sub[name]
-    if "seed" not in kwargs:
-        raise ConfigError("seed", "seed is mandatory")
-    if "protocol" not in kwargs:
-        raise ConfigError("protocol", "protocol is mandatory")
-    if "scenario" not in kwargs:
-        raise ConfigError("scenario", "scenario is mandatory")
+            kwargs[attrs[key]] = value
+    for key in _REQUIRED:
+        if key not in kwargs:
+            raise ConfigError(key, f"{key} is mandatory")
     return RunConfig(**kwargs).validate()
 
 
@@ -247,7 +244,9 @@ def expand(raw: dict, axes: dict) -> list:
             *parents, key = dotted.split(".")
             node = point
             for parent in parents:
-                node = node.setdefault(parent, {})
+                if node.get(parent) is None:   # a section left empty
+                    node[parent] = {}
+                node = node[parent]
                 if not isinstance(node, dict):
                     raise ConfigError("sweep", f"{dotted!r}: {parent!r} "
                                       f"is not a mapping")
@@ -277,10 +276,9 @@ def effective_yaml(cfg: RunConfig) -> str:
     """``cfg`` in the sectioned schema, so ``config_from_dict`` loads it back."""
     import yaml
     flat = vars(cfg)
-    raw = {key: flat[key] for key in _TOP_FIELDS}
-    for section, names in _SECTIONS.items():
-        raw[section] = {name: flat[_field_name(section, name)]
-                        for name in names}
+    raw = {path: flat[path] for path in _ATTRS if "." not in path}
+    for section, attrs in _SECTIONS.items():
+        raw[section] = {key: flat[attr] for key, attr in attrs.items()}
     return yaml.dump(raw, Dumper=_yaml_dumper(), sort_keys=True,
                      default_flow_style=False)
 

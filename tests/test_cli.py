@@ -262,8 +262,13 @@ def test_drained_run_needs_a_segment_wire_time_within_the_largest_rto(
     ({"param": "", "values": [1]}, "sweep"),              # no key at all
     ({"param": "scenario.", "values": [1]}, "sweep"),     # an empty key
     ({"param": "x", "values": [1]}, "sweep"),             # no such field
+    # a separator would nest one point's directory in another's or leave it
+    ({"param": "scenario.cdf_path", "values": ["sizes/a.cdf", "sizes//a.cdf"]},
+     "sweep.values"),
+    ({"param": "scenario.cdf_path", "values": ["../a.cdf"]}, "sweep.values"),
 ], ids=["bad_point", "int_parent", "scenario_int_parent", "no_values",
-        "empty_param", "empty_key", "unknown_field"])
+        "empty_param", "empty_key", "unknown_field", "separator_values",
+        "parent_dir_value"])
 def test_bad_sweep_exits_two_and_writes_nothing(tmp_path, capsys, sweep,
                                                 field):
     raw = dict(GOOD_CONFIG, sweep=sweep)
@@ -274,6 +279,18 @@ def test_bad_sweep_exits_two_and_writes_nothing(tmp_path, capsys, sweep,
     assert captured.err.startswith(f"config error: {field}: ")
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_sweep_fills_a_section_whose_keys_are_all_commented_out(tmp_path):
+    # YAML reads the bare "network:" as null, which a run takes as empty
+    raw = dict(GOOD_CONFIG, sweep={"param": "network.buffer_bytes",
+                                   "values": [100_000, 200_000]})
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(raw) + "network:\n#  buffer_bytes: 1\n")
+    out = tmp_path / "sweep"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    for size in (100_000, 200_000):
+        assert (out / f"buffer_bytes={size}" / "summary.txt").exists()
 
 
 def test_sweep_creates_one_subdirectory_per_point(tmp_path):

@@ -7,8 +7,8 @@ import os
 import pytest
 import yaml
 
-from microburst.config import (RunConfig, config_from_dict, effective_yaml,
-                               load_config)
+from microburst.config import (ConfigError, RunConfig, config_from_dict,
+                               effective_yaml, load_config)
 
 SCENARIO = {"kind": "incast", "n": 4}
 
@@ -87,3 +87,37 @@ def test_a_list_two_fields_share_is_written_out_in_full():
                       sweep={"param": "scenario.senders",
                              "values": [list(senders)]})
     assert effective_yaml(shared) == effective_yaml(apart)
+
+
+REQUIRED = {"seed": 1, "protocol": "TCP", "scenario": SCENARIO}
+
+
+def _rejection(raw):
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(raw)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("key", ["network.buffer_bytes", "telemetry_mode"])
+def test_a_path_or_attribute_name_is_no_top_level_key(key):
+    # only a section's own keys set its fields
+    assert _rejection(dict(REQUIRED, **{key: 1})) == f"{key}: unknown config key"
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"network": 5, "bogus": 1, **REQUIRED}, "bogus"),   # unknown keys first
+    ({"metrics": 5, "network": 5, **REQUIRED}, "network"),  # schema order
+    ({"network": {"bogus": 1}}, "network.bogus"),   # sections before seed
+    ({"protocol": "TCP"}, "seed"),
+    ({"seed": 1, "scenario": SCENARIO}, "protocol"),
+    ({"seed": 1, "protocol": "TCP"}, "scenario"),
+], ids=["unknown_key_first", "sections_in_schema_order", "section_before_seed",
+        "seed", "protocol", "scenario"])
+def test_of_several_faults_the_first_in_schema_order_is_reported(raw, field):
+    assert _rejection(raw).startswith(f"{field}: ")
+
+
+def test_an_unquoted_off_mode_says_what_was_read():
+    raw = dict(REQUIRED, **yaml.safe_load("telemetry:\n  mode: off\n"))
+    assert _rejection(raw) == ("telemetry.mode: must be one of "
+                               "('exact', 'fidelity', 'off'), got False")

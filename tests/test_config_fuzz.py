@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from microburst import scenarios
 from microburst.cli import main
-from microburst.config import _SECTIONS, _TOP_FIELDS, read_yaml
+from microburst.config import _FIELDS, _REQUIRED, _SECTIONS, read_yaml
 from microburst.engine import Engine
 
 from test_golden import CASES
@@ -43,9 +43,8 @@ FLOW_BUDGET = 30_000
 def _field_paths(raw):
     """Every field of the schema, each scenario key of ``raw`` and, if it
     sweeps, its sweep keys, as dotted paths."""
-    paths = [name for name in _TOP_FIELDS if name not in ("scenario", "sweep")]
-    paths += [f"{section}.{name}" for section, names in _SECTIONS.items()
-              for name in names]
+    paths = [path for path in (*_REQUIRED, *_FIELDS)
+             if path not in ("scenario", "sweep")]
     paths += [f"scenario.{key}" for key in raw["scenario"]]
     paths += [f"sweep.{key}" for key in raw.get("sweep", ())]
     return paths
