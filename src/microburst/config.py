@@ -110,7 +110,7 @@ _SWEEPABLE = set(_ATTRS) - {"sweep"}
 
 
 class RunConfig:
-    """A run's settings: seed, protocol, scenario, then each ``_FIELDS`` one."""
+    """Seed, protocol, scenario, then an attribute per ``_FIELDS`` path."""
 
     def __init__(self, seed, protocol, scenario, **settings):
         for name in settings:
@@ -198,7 +198,8 @@ class RunConfig:
                 raise ConfigError("sweep.values", f"each value names an output "
                                   f"subdirectory, so no two may read alike; "
                                   f"got {values!r}")
-            if any(sep and sep in "".join(labels) for sep in (os.sep, os.altsep)):
+            joined = "".join(labels)
+            if os.sep in joined or (os.altsep and os.altsep in joined):
                 raise ConfigError("sweep.values", f"each value names an output "
                                   f"subdirectory, so none may hold a path "
                                   f"separator; got {values!r}")
@@ -244,7 +245,7 @@ def expand(raw: dict, axes: dict) -> list:
             *parents, key = dotted.split(".")
             node = point
             for parent in parents:
-                if node.get(parent) is None:   # a section left empty
+                if node.get(parent) is None:   # null: all its keys commented out
                     node[parent] = {}
                 node = node[parent]
                 if not isinstance(node, dict):
