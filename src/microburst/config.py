@@ -40,6 +40,8 @@ DEFAULT_MONITOR_PORT = "root->t4"
 
 PRESET_PORTS = frozenset(PORT_IDS)
 
+NAME_MAX_BYTES = 255   # longest file name on common file systems
+
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
@@ -203,6 +205,14 @@ class RunConfig:
                 raise ConfigError("sweep.values", f"each value names an output "
                                   f"subdirectory, so none may hold a path "
                                   f"separator; got {values!r}")
+            key = param.rpartition(".")[2]
+            for i, value in enumerate(values):
+                size = len(f"{key}={value}".encode())
+                if size > NAME_MAX_BYTES:
+                    raise ConfigError("sweep.values", f"each value names an "
+                                      f"output subdirectory '{key}=<value>', "
+                                      f"of at most {NAME_MAX_BYTES} bytes in "
+                                      f"UTF-8; value {i} makes {size}")
         return self
 
     def host_algorithm(self):
@@ -219,7 +229,9 @@ def config_from_dict(raw: dict) -> RunConfig:
                 raise ConfigError(key, "unknown config key")
             kwargs[key] = value
     for section, attrs in _SECTIONS.items():
-        sub = raw.get(section) or {}
+        sub = raw.get(section)
+        if sub is None:   # null: all its keys commented out
+            continue
         if not isinstance(sub, dict):
             raise ConfigError(section, "must be a mapping")
         for key, value in sub.items():

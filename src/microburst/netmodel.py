@@ -20,7 +20,6 @@ queue-after object and an event adds only its time and new length.
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import cached_property
-from itertools import compress
 
 from .packets import DATA
 from .units import quantize_down, serialization_ns
@@ -66,13 +65,16 @@ class PortTrace:
     every mode.  ``times`` (sorted ns) and ``occupancy`` (bytes queued
     after) hold one sample per enqueue and dequeue, none per drop; they and
     ``first_drop_ns`` derive from the log once, on first read, so recording
-    only appends.
+    only appends.  ``drop_at`` holds the log index of each drop's first int,
+    so the samples are the log's column slices between drops, and no
+    per-event test picks them.
     """
 
     def __init__(self, port_id, fidelity=False):
         self.port_id = port_id
         self.fidelity = fidelity
         self.log = []
+        self.drop_at = []   # log index of each drop event
         self.first_window_bytes = 0
         self.first_window_first_ns = None    # first and last arrival of a
         self.first_window_last_ns = None     # first-window packet
@@ -85,25 +87,27 @@ class PortTrace:
         it = iter(self.log)
         return zip(it, it, it, it, it)
 
-    def _samples(self, column):
-        """``column`` of every event but the drops."""
-        log = self.log
-        return compress(log[column::5], map(DROP.__ne__, log[4::5]))
+    def _samples(self, column, samples):
+        """``samples`` extended by ``column`` of every event but the drops:
+        one slice of the log per run of events between drops."""
+        log, start = self.log, column
+        for at in self.drop_at:
+            samples += log[start:at:5]
+            start = at + 5 + column
+        samples += log[start::5]
+        return samples
 
     @cached_property
     def times(self):
-        return _SampleTimes(self._samples(0))
+        return self._samples(0, _SampleTimes())
 
     @cached_property
     def occupancy(self):
-        return list(self._samples(2))
+        return self._samples(2, [])
 
     @cached_property
     def first_drop_ns(self):
-        try:
-            return self.log[5 * self.log[4::5].index(DROP)]
-        except ValueError:
-            return None
+        return self.log[self.drop_at[0]] if self.drop_at else None
 
     def occupancy_at(self, t_ns):
         idx = bisect_right(self.times, t_ns) - 1
@@ -134,6 +138,7 @@ class PortTrace:
             self.first_window_last_departure_ns = now
 
     def record_drop(self, now, q_now, pkt):
+        self.drop_at.append(len(self.log))
         self.log.extend((now, q_now, q_now, pkt.flow_id, DROP))
 
     def csv_chunks(self):

@@ -380,7 +380,8 @@ def build_schedule(scenario: dict, rng, link_rate_bps):
             raise ConfigError(f"scenario.{name}",
                               "set by the simulator, not by the config")
     for name, minimum in _INTS.items():
-        check_int(f"scenario.{name}", params.get(name, minimum), minimum)
+        if name in params:
+            check_int(f"scenario.{name}", params[name], minimum)
     signature = _PARAMS[kind]
     if "cdf" in signature and "cdf_path" in params:
         params["cdf"] = load_size_cdf(params.pop("cdf_path"))

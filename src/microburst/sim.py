@@ -26,7 +26,7 @@ from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA, Packet
 from .scenarios import build_schedule
-from .topology import HOSTS, LINKS, ROOT, path
+from .topology import PORT_TABLE, path
 from .transport import Sender, Receiver, DCTCP
 
 
@@ -51,25 +51,24 @@ class Network:
     def __init__(self, engine, cfg: RunConfig):
         self.engine = engine
         self.cfg = cfg
-        self.ports = {}
         self._routes = {}
-        for link in LINKS:
-            for a, b in (link, link[::-1]):
-                port_id = f"{a}->{b}"
-                if a in HOSTS:
-                    buffer_limit, policy = None, None   # sender NIC
-                else:
-                    policy = _make_policy(cfg)
-                    if b == ROOT and cfg.tor_uplink_buffer_bytes is not None:
-                        buffer_limit = cfg.tor_uplink_buffer_bytes
-                    else:
-                        buffer_limit = cfg.buffer_bytes
-                forward_ns = cfg.prop_delay_ns
-                if b not in HOSTS:
-                    forward_ns += cfg.hop_proc_ns
-                self.ports[port_id] = Port(port_id, cfg.link_rate_bps,
-                                           buffer_limit, policy, engine,
-                                           forward_ns, deliver_fn=self._deliver)
+        rate, deliver = cfg.link_rate_bps, self._deliver
+        buffer_bytes = cfg.buffer_bytes
+        uplink_bytes = cfg.tor_uplink_buffer_bytes
+        if uplink_bytes is None:
+            uplink_bytes = buffer_bytes
+        host_ns = cfg.prop_delay_ns               # into a host
+        switch_ns = host_ns + cfg.hop_proc_ns     # into a switch
+        ports = self.ports = {}
+        for port_id, on_host, to_root, to_switch in PORT_TABLE:
+            if on_host:
+                buffer_limit, policy = None, None   # sender NIC
+            else:
+                buffer_limit = uplink_bytes if to_root else buffer_bytes
+                policy = _make_policy(cfg)
+            ports[port_id] = Port(port_id, rate, buffer_limit, policy, engine,
+                                  switch_ns if to_switch else host_ns,
+                                  deliver_fn=deliver)
         self.senders = {}
         self.receivers = {}
 

@@ -25,9 +25,12 @@ def tor_of(host: str) -> str:
 LINKS = (tuple((host, tor_of(host)) for host in HOSTS)
          + tuple((tor, ROOT) for tor in TORS))
 
-# output port names, one per link direction: "<from>-><to>"
-PORT_IDS = tuple(f"{a}->{b}" for link in LINKS
-                 for a, b in (link, link[::-1]))
+# every output port, one per link direction, as (port id "<from>-><to>",
+# leaves a host, leads to the root, leads to a switch); built once, so a
+# run's network reads each port's role instead of deriving it
+PORT_TABLE = tuple((f"{a}->{b}", a in HOSTS, b == ROOT, b not in HOSTS)
+                   for link in LINKS for a, b in (link, link[::-1]))
+PORT_IDS = tuple(port_id for port_id, *_ in PORT_TABLE)
 
 
 def path(src: str, dst: str) -> list:

@@ -266,9 +266,14 @@ def test_drained_run_needs_a_segment_wire_time_within_the_largest_rto(
     ({"param": "scenario.cdf_path", "values": ["sizes/a.cdf", "sizes//a.cdf"]},
      "sweep.values"),
     ({"param": "scenario.cdf_path", "values": ["../a.cdf"]}, "sweep.values"),
+    # "ports=[...]" of the second value takes 342 bytes, over a file name's
+    # 255, and the first point, whose name fits, would be written before the
+    # second failed
+    ({"param": "telemetry.ports",
+      "values": [["root->t4"], ["root->t4"] * 28]}, "sweep.values"),
 ], ids=["bad_point", "int_parent", "scenario_int_parent", "no_values",
         "empty_param", "empty_key", "unknown_field", "separator_values",
-        "parent_dir_value"])
+        "parent_dir_value", "over_long_label"])
 def test_bad_sweep_exits_two_and_writes_nothing(tmp_path, capsys, sweep,
                                                 field):
     raw = dict(GOOD_CONFIG, sweep=sweep)

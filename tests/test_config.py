@@ -121,3 +121,22 @@ def test_an_unquoted_off_mode_says_what_was_read():
     raw = dict(REQUIRED, **yaml.safe_load("telemetry:\n  mode: off\n"))
     assert _rejection(raw) == ("telemetry.mode: must be one of "
                                "('exact', 'fidelity', 'off'), got False")
+
+
+SECTIONS = ("network", "switch", "transport", "telemetry", "metrics")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("value", [False, [], 0, ""],
+                         ids=["false", "empty_list", "zero", "empty_string"])
+def test_a_false_section_value_is_no_empty_section(section, value):
+    # a run on the defaults would hide the mistake
+    assert _rejection(dict(REQUIRED, **{section: value})) == (
+        f"{section}: must be a mapping")
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_a_null_section_reads_as_empty(section):
+    # YAML reads a section whose keys are all commented out as null
+    assert config_from_dict(dict(REQUIRED, **{section: None})) == (
+        config_from_dict(REQUIRED))

@@ -3,17 +3,18 @@ from heapq import heappop, heappush
 from itertools import count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microburst.config import PROTOCOLS, RunConfig
 from microburst.engine import Engine
-from microburst.marking import ThresholdEcn
+from microburst.marking import SlopeEcn, ThresholdEcn
 from microburst.netmodel import (ACK_ENQUEUE, DEQUEUE, DROP, ENQUEUE,
                                  ENQUEUE_MARKED, Port, PortTrace,
                                  stamp_telemetry)
 from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.sim import Network, _make_policy
-from microburst.topology import HOSTS, PORT_IDS, ROOT, TORS, path, tor_of
+from microburst.topology import (HOSTS, LINKS, PORT_IDS, ROOT, TORS, path,
+                                 tor_of)
 from microburst.units import GBPS, quantize_down, serialization_ns
 
 
@@ -326,7 +327,122 @@ def test_reference_run_exercises_drops_and_marks():
         f"{t},p,{q},{flow},{event}\n" for t, q, flow, event in ref.rows)
 
 
+# (call, ns after the previous call, flow id, size, ACK instead of data):
+# the recording calls a port makes, drawn freely, so drops land first,
+# last, back to back or nowhere
+_TRACE_CALL = st.tuples(
+    st.sampled_from(("enqueue", "enqueue", "dequeue", "drop")),
+    st.sampled_from((0, 0, 1, 700)), st.integers(0, 3),
+    st.integers(64, 1500), st.booleans())
+
+
+def _drive(trace, calls):
+    t = q = 0
+    for call, gap, flow, size, is_ack in calls:
+        t += gap
+        pkt = Packet(flow, ACK if is_ack else DATA, size, ())
+        pkt.send_round = -1
+        if call == "enqueue":
+            trace.record_enqueue(t, q, q + size, pkt, False)
+            q += size
+        elif call == "dequeue":
+            size = min(size, q)
+            trace.record_dequeue(t, q, q - size, pkt)
+            q -= size
+        else:
+            trace.record_drop(t, q, pkt)
+
+
+_DROP = ("drop", 0, 0, 1500, False)
+_ENQ = ("enqueue", 700, 1, 1500, False)
+_DEQ = ("dequeue", 0, 1, 1500, False)
+
+
+@settings(max_examples=200)
+@given(st.lists(_TRACE_CALL, max_size=40))
+@example([])
+@example([_DROP, _ENQ, _DEQ])                  # a drop first
+@example([_ENQ, _ENQ, _DEQ, _DROP])            # a drop last
+@example([_ENQ, _DROP, _DROP, _DROP, _DEQ])    # drops back to back
+@example([_DROP, _DROP])                       # drops only
+@example([_ENQ, _DEQ, _ENQ])                   # no drop
+def test_trace_samples_match_a_per_row_reference(calls):
+    trace = PortTrace("p")
+    _drive(trace, calls)
+    rows = list(trace.rows())
+    kept = [(t, q_after) for t, _, q_after, _, code in rows if code != DROP]
+    drops = [t for t, _, _, _, code in rows if code == DROP]
+    assert trace.times == [t for t, _ in kept]
+    assert trace.occupancy == [q for _, q in kept]
+    assert trace.first_drop_ns == (drops[0] if drops else None)
+    # the traced benchmark counts each fit window's samples with it
+    for t in {0, *trace.times, 1 << 40}:
+        assert trace.times.searchsorted(t) == sum(s < t for s, _ in kept)
+        assert trace.times.searchsorted(t, side="right") == sum(
+            s <= t for s, _ in kept)
+
+
 # -- the network model against a reference written from its spec -------------
+
+def _reference_ports(cfg):
+    """``(port_id, buffer limit, forward delay, policy class, policy slots)``
+    of every port, from the preset's spec: one port per direction of each
+    of ``LINKS``, outward first.  A host NIC has no buffer and no policy; a
+    switch port has the run's buffer, or the ToR uplink's toward the root
+    when one is set, and a fresh marker of the protocol's kind.  A hop into
+    a switch adds the processing delay to the propagation delay."""
+    _, threshold, slope = PROTOCOLS[cfg.protocol]
+    k = cfg.ecn_threshold_bytes
+    ports = []
+    for link in LINKS:
+        for src, dst in (link, link[::-1]):
+            forward_ns = cfg.prop_delay_ns
+            if dst not in HOSTS:
+                forward_ns += cfg.hop_proc_ns
+            if src in HOSTS:
+                limit, policy = None, None
+            else:
+                limit = cfg.buffer_bytes
+                if dst == ROOT and cfg.tor_uplink_buffer_bytes is not None:
+                    limit = cfg.tor_uplink_buffer_bytes
+                policy = (SlopeEcn(cfg.link_rate_bps, k if threshold else None)
+                          if slope else ThresholdEcn(k) if threshold else None)
+            ports.append((f"{src}->{dst}", limit, forward_ns,
+                          type(policy), _slots(policy)))
+    return ports
+
+
+def _slots(policy):
+    return {name: getattr(policy, name)
+            for name in getattr(type(policy), "__slots__", ())}
+
+
+@pytest.mark.parametrize("delays", [(0, 0), (500, 300)],
+                         ids=["no_delay", "delays"])
+@pytest.mark.parametrize("uplink", [None, 4_000], ids=["no_uplink", "uplink"])
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_network_ports_match_the_preset_spec(protocol, uplink, delays):
+    prop_delay_ns, hop_proc_ns = delays
+    cfg = RunConfig(seed=1, protocol=protocol, scenario={"kind": "incast"},
+                    tor_uplink_buffer_bytes=uplink, buffer_bytes=6_000,
+                    ecn_threshold_bytes=2_000, link_rate_bps=10 * GBPS,
+                    prop_delay_ns=prop_delay_ns,
+                    hop_proc_ns=hop_proc_ns).validate()
+    engine = Engine()
+    net = Network(engine, cfg)
+    assert list(net.ports) == list(PORT_IDS)
+    assert [(pid, port.buffer_limit, port.forward_ns, type(port.policy),
+             _slots(port.policy)) for pid, port in net.ports.items()] == (
+        _reference_ports(cfg))
+    for pid, port in net.ports.items():
+        assert port.port_id == pid and port.engine is engine
+        assert port.rate_bps == cfg.link_rate_bps
+        assert port.deliver_fn == net._deliver
+    # each switch port marks on its own state
+    policies = [port.policy for port in net.ports.values()
+                if port.policy is not None]
+    assert len({id(policy) for policy in policies}) == len(policies)
+
 
 class HopReference:
     """The hop path of the preset network, from its spec.  Each port is a

@@ -405,6 +405,21 @@ def test_build_schedule_names_a_missing_required_key(scenario, message):
         build_schedule(scenario, rng(), GBPS)
 
 
+@pytest.mark.parametrize("scenario, field", [
+    ({"kind": "sync_fanin", "jitter_ns": -1, "n": 0}, "n"),
+    ({"kind": "sync_fanin", "n": 2, "start_ns": -5, "response_bytes": 0},
+     "response_bytes"),
+    ({"kind": "websearch", "duration_ns": 0, "load": 0.4,
+      "query_bytes": "1"}, "query_bytes"),
+], ids=["n_first", "given_order_reversed", "string_and_zero"])
+def test_of_two_bad_integers_the_first_in_table_order_is_named(scenario,
+                                                               field):
+    # the check follows the integer table, not the order the config gives
+    with pytest.raises(ConfigError, match=f"^scenario\\.{field}: must be an "
+                       "integer"):
+        build_schedule(scenario, rng(), GBPS)
+
+
 @pytest.mark.parametrize("key", ["receiver", "senders"])
 def test_unhashable_host_is_named(key):
     value = [1] if key == "receiver" else [[1]]
