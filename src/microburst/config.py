@@ -2,7 +2,7 @@
 
 A run is one scenario under one protocol.  ``PROTOCOLS`` pairs each
 protocol name with a host congestion-control algorithm and the marking of
-every switch port.
+the switch ports that data crosses.
 """
 
 import copy
@@ -24,8 +24,9 @@ class ConfigError(Exception):
 
 
 PROTOCOLS = {
-    # name: (host algorithm, threshold marking, slope marking); a protocol's
-    # hosts are ECN-capable exactly when its switches mark
+    # name: (host algorithm, threshold marking, slope marking) of every
+    # switch port some flow's data can cross (ACKs are never marked); a
+    # protocol's hosts are ECN-capable exactly when its switches mark
     "TCP": (NEWRENO, False, False),         # tail drop only
     "ECN*": (NEWRENO, True, False),
     "S-ECN": (NEWRENO, False, True),

@@ -1,7 +1,8 @@
 """Admission-time marking policies for switch output ports.
 
 Two policies are pluggable per port; a port with no policy (``None``, as
-on a host NIC or a tail-drop switch) never marks:
+on a host NIC, a tail-drop switch or a switch port no data crosses) never
+marks:
 
 * ``ThresholdEcn``  -- mark when the instantaneous queue exceeds a threshold.
 * ``SlopeEcn``      -- mark in proportion to the queue-growth slope, realized

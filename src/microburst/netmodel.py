@@ -4,9 +4,10 @@ Every directed link is realized as one output ``Port`` on the sending
 node: a FIFO with a byte buffer limit, a line rate, and a pluggable
 marking policy consulted at admission time.  Tail drop happens before the
 policy sees the packet; marking applies only to admitted data packets
-(a port has a policy only where the hosts are ECN-capable, and ACKs never
-are).  Host-side ports (the NIC) have no buffer limit and no policy;
-the sender's window is what bounds them.
+(a switch port has a policy only where the hosts are ECN-capable and some
+flow's data can cross it, as ACKs never are ECN-capable).  Host-side
+ports (the NIC) have no buffer limit and no policy; the sender's window is
+what bounds them.
 
 Monitored ports carry a ``PortTrace``, the one trace type: an exact log of
 queue events, from which ``trace.csv``, the analysis samples and the first
@@ -30,6 +31,10 @@ ACK_ENQUEUE, ENQUEUE, ENQUEUE_MARKED, DEQUEUE, DROP = range(5)
 TIME_QUANTUM_NS = 800   # telemetry timestamp register tick
 QUEUE_QUANTUM_B = 8     # telemetry queue-length register granularity
 CSV_CHUNK_ROWS = 1024   # log events per trace.csv chunk
+
+# rate -> {size: wire time}; every port of a run has the run's one rate, so
+# the run's ports share one entry, as marking._RI_TERMS does for ri_terms
+_SER_NS = {}
 
 
 def stamp_telemetry(now_ns: int, queue_bytes: int, fidelity: bool):
@@ -194,7 +199,10 @@ class Port:
         self.engine = engine
         self.queue = deque()
         self.queue_bytes = 0
-        self.ser_ns = {}    # size -> wire time at this port's rate
+        ser_ns = _SER_NS.get(rate_bps)
+        if ser_ns is None:
+            ser_ns = _SER_NS[rate_bps] = {}
+        self.ser_ns = ser_ns    # size -> wire time at this port's rate
         self.forward_ns = forward_ns
         self.deliver_fn = deliver_fn
         self.trace = None

@@ -26,7 +26,7 @@ from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
 from .packets import DATA, Packet
 from .scenarios import build_schedule
-from .topology import PORT_TABLE, path
+from .topology import PORT_TABLE, PORTS_INTO, path
 from .transport import Sender, Receiver, DCTCP
 
 
@@ -45,13 +45,17 @@ class Network:
     """Ports for every directed link of the preset, per-pair port routes,
     and the endpoints of the flows started so far.
 
+    Only a switch port on some path into one of ``dsts``, the hosts the
+    run's flows send to, gets a marker: every other port carries no data,
+    and a marker there could only decide on ACKs, which are never marked.
     ``senders`` holds only the flows still running, and ``receivers`` only
     those whose receiver may still see a data packet."""
 
-    def __init__(self, engine, cfg: RunConfig):
+    def __init__(self, engine, cfg: RunConfig, dsts):
         self.engine = engine
         self.cfg = cfg
         self._routes = {}
+        data_ports = frozenset().union(*(PORTS_INTO[dst] for dst in dsts))
         rate, deliver = cfg.link_rate_bps, self._deliver
         buffer_bytes = cfg.buffer_bytes
         uplink_bytes = cfg.tor_uplink_buffer_bytes
@@ -65,7 +69,8 @@ class Network:
                 buffer_limit, policy = None, None   # sender NIC
             else:
                 buffer_limit = uplink_bytes if to_root else buffer_bytes
-                policy = _make_policy(cfg)
+                policy = (_make_policy(cfg) if port_id in data_ports
+                          else None)
             ports[port_id] = Port(port_id, rate, buffer_limit, policy, engine,
                                   switch_ns if to_switch else host_ns,
                                   deliver_fn=deliver)
@@ -216,7 +221,7 @@ def prepare_run(cfg: RunConfig):
 def run_simulation(cfg: RunConfig) -> RunResult:
     flows, queries, horizon = prepare_run(cfg)
     engine = Engine()
-    net = Network(engine, cfg)
+    net = Network(engine, cfg, {f.dst for f in flows})
 
     traces = {}
     if cfg.telemetry_mode != "off":

@@ -40,3 +40,19 @@ def path(src: str, dst: str) -> list:
     if up == down:
         return [src, up, dst]
     return [src, up, ROOT, down, dst]
+
+
+def _switch_ports_into(dst: str) -> frozenset:
+    """Ids of the switch ports on some path into ``dst``: every hop of a
+    route but the first, which leaves the sending host."""
+    hops = set()
+    for src in HOSTS:
+        if src != dst:
+            nodes = path(src, dst)
+            hops.update(zip(nodes[1:], nodes[2:]))
+    return frozenset(f"{a}->{b}" for a, b in hops)
+
+
+# host -> the switch ports its data can cross, so the only ports whose
+# marking a flow to it can see (ACKs are never marked)
+PORTS_INTO = {dst: _switch_ports_into(dst) for dst in HOSTS}

@@ -13,8 +13,8 @@ from microburst.netmodel import (ACK_ENQUEUE, DEQUEUE, DROP, ENQUEUE,
                                  stamp_telemetry)
 from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.sim import Network, _make_policy
-from microburst.topology import (HOSTS, LINKS, PORT_IDS, ROOT, TORS, path,
-                                 tor_of)
+from microburst.topology import (HOSTS, LINKS, PORT_IDS, PORTS_INTO, ROOT,
+                                 TORS, path, tor_of)
 from microburst.units import GBPS, quantize_down, serialization_ns
 
 
@@ -178,6 +178,10 @@ def test_preset_topology_shape():
     assert tor_of("h1") == "t1" and tor_of("h10") == "t4"
     assert path("h1", "h10") == ["h1", "t1", "root", "t4", "h10"]
     assert path("h11", "h10") == ["h11", "t4", "h10"]
+    assert PORTS_INTO["h10"] == {"t1->root", "t2->root", "t3->root",
+                                 "root->t4", "t4->h10"}
+    assert PORTS_INTO["h2"] == {"t2->root", "t3->root", "t4->root",
+                                "root->t1", "t1->h2"}
 
 
 # -- the single-log recorder against the three-store reference ----------------
@@ -384,15 +388,22 @@ def test_trace_samples_match_a_per_row_reference(calls):
 
 # -- the network model against a reference written from its spec -------------
 
-def _reference_ports(cfg):
+def _reference_ports(cfg, dsts):
     """``(port_id, buffer limit, forward delay, policy class, policy slots)``
     of every port, from the preset's spec: one port per direction of each
     of ``LINKS``, outward first.  A host NIC has no buffer and no policy; a
     switch port has the run's buffer, or the ToR uplink's toward the root
-    when one is set, and a fresh marker of the protocol's kind.  A hop into
-    a switch adds the processing delay to the propagation delay."""
+    when one is set, and a fresh marker of the protocol's kind if the route
+    from some other host into one of ``dsts`` crosses it, else none.  A hop
+    into a switch adds the processing delay to the propagation delay."""
     _, threshold, slope = PROTOCOLS[cfg.protocol]
     k = cfg.ecn_threshold_bytes
+    data_hops = set()
+    for dst in dsts:
+        for src in HOSTS:
+            if src != dst:
+                nodes = path(src, dst)
+                data_hops.update(zip(nodes, nodes[1:]))
     ports = []
     for link in LINKS:
         for src, dst in (link, link[::-1]):
@@ -407,6 +418,8 @@ def _reference_ports(cfg):
                     limit = cfg.tor_uplink_buffer_bytes
                 policy = (SlopeEcn(cfg.link_rate_bps, k if threshold else None)
                           if slope else ThresholdEcn(k) if threshold else None)
+                if (src, dst) not in data_hops:
+                    policy = None
             ports.append((f"{src}->{dst}", limit, forward_ns,
                           type(policy), _slots(policy)))
     return ports
@@ -415,6 +428,10 @@ def _reference_ports(cfg):
 def _slots(policy):
     return {name: getattr(policy, name)
             for name in getattr(type(policy), "__slots__", ())}
+
+
+# one host, two hosts in different racks, and every host
+DESTINATION_SETS = ({"h10"}, {"h1", "h11"}, set(HOSTS))
 
 
 @pytest.mark.parametrize("delays", [(0, 0), (500, 300)],
@@ -428,20 +445,23 @@ def test_network_ports_match_the_preset_spec(protocol, uplink, delays):
                     ecn_threshold_bytes=2_000, link_rate_bps=10 * GBPS,
                     prop_delay_ns=prop_delay_ns,
                     hop_proc_ns=hop_proc_ns).validate()
-    engine = Engine()
-    net = Network(engine, cfg)
-    assert list(net.ports) == list(PORT_IDS)
-    assert [(pid, port.buffer_limit, port.forward_ns, type(port.policy),
-             _slots(port.policy)) for pid, port in net.ports.items()] == (
-        _reference_ports(cfg))
-    for pid, port in net.ports.items():
-        assert port.port_id == pid and port.engine is engine
-        assert port.rate_bps == cfg.link_rate_bps
-        assert port.deliver_fn == net._deliver
-    # each switch port marks on its own state
-    policies = [port.policy for port in net.ports.values()
-                if port.policy is not None]
-    assert len({id(policy) for policy in policies}) == len(policies)
+    for dsts in DESTINATION_SETS:
+        engine = Engine()
+        net = Network(engine, cfg, dsts)
+        assert list(net.ports) == list(PORT_IDS)
+        assert [(pid, port.buffer_limit, port.forward_ns, type(port.policy),
+                 _slots(port.policy)) for pid, port in net.ports.items()] == (
+            _reference_ports(cfg, dsts)), sorted(dsts)
+        for pid, port in net.ports.items():
+            assert port.port_id == pid and port.engine is engine
+            assert port.rate_bps == cfg.link_rate_bps
+            assert port.deliver_fn == net._deliver
+        # the ports of one rate share one cache of wire times
+        assert len({id(port.ser_ns) for port in net.ports.values()}) == 1
+        # each switch port marks on its own state
+        policies = [port.policy for port in net.ports.values()
+                    if port.policy is not None]
+        assert len({id(policy) for policy in policies}) == len(policies)
 
 
 class HopReference:
@@ -528,9 +548,9 @@ class HopReference:
 class DeliveryLog(Network):
     """A network that records ``(time, flow_id)`` of every delivery."""
 
-    def __init__(self, engine, cfg):
+    def __init__(self, engine, cfg, dsts):
         self.delivered = []
-        super().__init__(engine, cfg)
+        super().__init__(engine, cfg, dsts)
 
     def _deliver(self, now, pkt):
         self.delivered.append((now, pkt.flow_id))
@@ -562,7 +582,9 @@ _NETWORK = st.fixed_dictionaries({
 def test_network_hops_match_the_reference(fields, injections):
     cfg = RunConfig(seed=1, scenario={"kind": "incast"}, **fields).validate()
     engine = Engine()
-    net = DeliveryLog(engine, cfg)
+    # every host a destination, so every switch port has the marker that
+    # HopReference gives it
+    net = DeliveryLog(engine, cfg, HOSTS)
     ref = HopReference(cfg)
     for port in net.ports.values():
         port.trace = PortTrace(port.port_id)

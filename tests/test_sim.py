@@ -15,12 +15,13 @@ from microburst.config import PROTOCOLS, RunConfig, config_from_dict
 from microburst.engine import Engine
 from microburst.marking import SlopeEcn, ThresholdEcn
 from microburst.netmodel import (ACK_ENQUEUE, CSV_CHUNK_ROWS, DEQUEUE, DROP,
-                                 ENQUEUE_MARKED, Port, PortTrace,
+                                 ENQUEUE, ENQUEUE_MARKED, Port, PortTrace,
                                  stamp_telemetry)
 from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
-from microburst.sim import AuditError, run_simulation, write_outputs
-from microburst.topology import HOSTS
+from microburst.sim import (AuditError, Network, run_simulation,
+                            write_outputs)
+from microburst.topology import HOSTS, PORT_IDS
 from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
 from microburst.units import GBPS
 from test_golden import CASES, FANIN
@@ -452,8 +453,8 @@ def networks(monkeypatch):
     built = []
 
     class KeptNetwork(sim.Network):
-        def __init__(self, engine, cfg):
-            super().__init__(engine, cfg)
+        def __init__(self, engine, cfg, dsts):
+            super().__init__(engine, cfg, dsts)
             built.append(self)
 
     monkeypatch.setattr(sim, "Network", KeptNetwork)
@@ -503,8 +504,8 @@ def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
     nets = []
 
     class LossyNetwork(sim.Network):
-        def __init__(self, engine, cfg):
-            super().__init__(engine, cfg)
+        def __init__(self, engine, cfg, dsts):
+            super().__init__(engine, cfg, dsts)
             self.ports["h1->t1"] = lossy_port(engine, self._deliver, {5})
             nets.append(self)
 
@@ -621,7 +622,8 @@ def test_audit_names_counts_when_a_port_loses_a_data_packet(monkeypatch):
 
 
 K, R = 24_000, 10 * GBPS
-# (policy type, attributes) on every switch port; None: tail drop only
+# (policy type, attributes) on every switch port that data into h10 crosses;
+# None: tail drop only
 SWITCH_POLICY = {
     "TCP": None,
     "ECN*": (ThresholdEcn, {"threshold_bytes": K}),
@@ -632,23 +634,144 @@ SWITCH_POLICY = {
 }
 
 
+# the switch ports on some route into h10; the other switch ports carry only
+# the ACKs of flows to h10
+INTO_H10 = {"t1->root", "t2->root", "t3->root", "root->t4", "t4->h10"}
+
+
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_protocol_sets_the_policy_of_every_switch_port(protocol):
     cfg = RunConfig(seed=1, protocol=protocol, scenario={"kind": "incast"},
                     link_rate_bps=R, ecn_threshold_bytes=K)
-    net = sim.Network(Engine(), cfg)
+    net = sim.Network(Engine(), cfg, {"h10"})
     expected = SWITCH_POLICY[protocol]
     switch_policies = []
     for port_id, port in net.ports.items():
-        if port_id.split("->")[0] in HOSTS or expected is None:
+        if port_id not in INTO_H10 or expected is None:
             assert port.policy is None, port_id
             continue
         kind, attrs = expected
         assert type(port.policy) is kind, port_id
         assert {a: getattr(port.policy, a) for a in attrs} == attrs, port_id
         switch_policies.append(port.policy)
+    assert len(switch_policies) == (0 if expected is None else len(INTO_H10))
     # each switch port keeps its own marking state
     assert len(set(map(id, switch_policies))) == len(switch_policies)
+
+
+# -- a marker on a port that carries no data changes nothing ------------------
+
+class EverySwitchPortMarks(Network):
+    """The rule before markers followed the data: a fresh marker on every
+    switch port, whatever the run's destinations."""
+
+    def __init__(self, engine, cfg, dsts):
+        super().__init__(engine, cfg, dsts)
+        for port_id, port in self.ports.items():
+            if port_id.split("->")[0] not in HOSTS:
+                port.policy = sim._make_policy(cfg)
+
+
+def _observed_run(cfg, network, monkeypatch):
+    """``(what the run shows, its network)`` when ``sim`` builds
+    ``network``: the flows, per-port counters, run summary, end, query
+    ends, first window cut and the text of ``trace.csv``."""
+    built = []
+
+    class Kept(network):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(sim, "Network", Kept)
+    res = run_simulation(cfg)
+    text = "".join(chunk for pid in sorted(res.traces)
+                   for chunk in res.traces[pid].csv_chunks())
+    shown = (res.flows, res.ports, res.summary, res.end_ns, res.queries,
+             res.first_ece_cut_ns, text)
+    return shown, res.traces, built[0]
+
+
+# each generator at a small size, to destinations h10, h11 and h12
+SMALL_SCENARIOS = {
+    "sync_fanin": {"n": 6, "response_bytes": 60_000, "jitter_ns": 20_000},
+    "async_fanin": {"n": 6, "response_bytes": 40_000, "window_ns": 200_000},
+    "one_background": {"fanin_count": 4, "response_bytes": 40_000,
+                       "delay_ns": 400_000, "background_bytes": 300_000},
+    "background_same_hop": {"background_count": 2, "fanin_count": 4,
+                            "response_bytes": 40_000, "delay_ns": 400_000,
+                            "background_bytes": 300_000},
+    "background_prev_hop": {"background_count": 2, "fanin_count": 4,
+                            "response_bytes": 40_000, "delay_ns": 400_000,
+                            "background_bytes": 300_000},
+    "incast": {"n": 8, "response_bytes": 32_000},
+    "websearch": {"load": 0.6, "duration_ns": 20_000_000},
+    "long_flow_batches": {"batch": 3, "interval_ns": 300_000, "batches": 2,
+                          "flow_bytes": 100_000},
+}
+
+# flows both ways across the root and within a rack, so some switch ports
+# carry data one way and the ACKs of another flow, while t2->h5, t4->h11
+# and t4->h12 carry only ACKs: (src, dst, size, start)
+TWO_WAY_FLOWS = (("h1", "h10", 150_000, 0), ("h10", "h1", 150_000, 0),
+                 ("h4", "h7", 80_000, 10_000), ("h8", "h2", 80_000, 10_000),
+                 ("h5", "h10", 100_000, 5_000), ("h11", "h10", 80_000, 0),
+                 ("h12", "h4", 80_000, 20_000))
+
+MARKING = [p for p, (_, threshold, slope) in PROTOCOLS.items()
+           if threshold or slope]
+
+
+@pytest.mark.parametrize("kind", [*SMALL_SCENARIOS, "two_way"])
+@pytest.mark.parametrize("protocol", MARKING)
+def test_a_marker_on_a_port_without_data_is_unobservable(monkeypatch,
+                                                         protocol, kind):
+    if kind == "two_way":
+        monkeypatch.setattr(sim, "build_schedule", lambda *args: (
+            sorted((FlowSpec(i, *flow) for i, flow in enumerate(TWO_WAY_FLOWS)),
+                   key=lambda f: f.start_ns), []))
+        scenario = {"kind": "incast"}
+    else:
+        scenario = {"kind": kind, **SMALL_SCENARIOS[kind]}
+    cfg = RunConfig(seed=2, protocol=protocol, scenario=scenario,
+                    buffer_bytes=48_000, ecn_threshold_bytes=12_000,
+                    telemetry_mode="exact", telemetry_ports=list(PORT_IDS))
+    every, _, _ = _observed_run(cfg, EverySwitchPortMarks, monkeypatch)
+    shown, traces, net = _observed_run(cfg, Network, monkeypatch)
+    assert shown == every
+    assert every[2].packets_marked > 0
+    # every switch port that admitted data had a marker, and some switch
+    # port without one saw ACKs, which a marker there would have decided on
+    acks_unjudged = False
+    for pid, trace in traces.items():
+        if pid.split("->")[0] in HOSTS or net.ports[pid].policy is not None:
+            continue
+        codes = set(trace.log[4::5])
+        assert not codes & {ENQUEUE, ENQUEUE_MARKED}, pid
+        acks_unjudged |= ACK_ENQUEUE in codes
+    assert acks_unjudged
+
+
+def test_slope_decisions_are_the_data_enqueues_at_switch_ports(monkeypatch):
+    calls = []
+    decide = SlopeEcn.decide
+
+    def counted_decide(self, *args):
+        calls.append(None)
+        return decide(self, *args)
+
+    monkeypatch.setattr(SlopeEcn, "decide", counted_decide)
+    res = run_simulation(RunConfig(
+        seed=1, protocol="DCTCP+SL-ECN", buffer_bytes=128_000,
+        scenario={"kind": "websearch", "load": 0.4, "duration_ns": 20_000_000},
+        telemetry_mode="exact", telemetry_ports=list(PORT_IDS)))
+    assert {f.dst for f in res.flows} == {"h10"}
+    codes = Counter()
+    for pid, trace in res.traces.items():
+        if pid.split("->")[0] not in HOSTS:
+            codes.update(trace.log[4::5])
+    assert codes[ACK_ENQUEUE] > 0 and res.summary.packets_marked > 0
+    assert len(calls) == codes[ENQUEUE] + codes[ENQUEUE_MARKED]
 
 
 @pytest.mark.parametrize("protocol, algo", [("TCP", NEWRENO),
