@@ -25,7 +25,8 @@ EXIT_CONFIG = 2
 
 def cmd_run(args) -> int:
     # every point's config and schedule are checked before the first run,
-    # so a bad sweep value leaves no partial output behind
+    # so a bad sweep value leaves no partial output behind; the first
+    # point's own check, inside run_simulation, raises before any output
     try:
         raw = read_yaml(args.config)
         if args.seed is not None and isinstance(raw, dict):
@@ -33,12 +34,8 @@ def cmd_run(args) -> int:
         sweep = config_from_dict(raw).sweep
         base = {k: v for k, v in raw.items() if k != "sweep"}
         plan = expand(base, {sweep["param"]: sweep["values"]} if sweep else {})
-        for _, cfg in plan:
+        for _, cfg in plan[1:]:
             prepare_run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         started = time.perf_counter()
         for label, (result, ended) in run_plan(
                 plan, lambda result: (result, time.perf_counter())):
@@ -48,6 +45,9 @@ def cmd_run(args) -> int:
             print(f"wrote {out_dir}")
             del result     # free this run before the next one is built
             started = time.perf_counter()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:   # simulation failure is an internal error
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

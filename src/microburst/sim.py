@@ -4,17 +4,17 @@ state, builds the run totals and query completions from the flows and
 ports, and writes the CSV outputs.
 
 ``prepare_run`` makes every check of a run before its first event;
-``run_simulation`` and the CLI's check of every sweep point both call it.
+``run_simulation`` and the CLI's check of later sweep points both call it.
 
 The schedule's flow objects are the run's flow records.  A flow waits in
 the schedule, not in the engine, until it starts; its endpoints are built
-then, from the flow and the run's config, and hold the flow, so its outcome
-is written straight into it.  When it completes, its sender is retired, and
-its receiver too once every data packet sent has arrived, each leaving its
-counts in the flow: per-flow state scales with the flows in flight, not
-with the length of the schedule.  After a loss the receiver stays, since a
-retransmitted duplicate can still reach it and be acknowledged; the counts
-of the endpoints still live are copied into their flows after the loop."""
+then, from the flow and the run's config, and hold the flow, so its outcome,
+counts included, is written straight into it.  When it completes, its
+sender is retired, and its receiver too once every data packet sent has
+arrived: per-flow state scales with the flows in flight, not with the
+length of the schedule.  After a loss the receiver stays, since a
+retransmitted duplicate can still reach it and be acknowledged.  The run
+reads its totals from the flows and ports alone, never from an endpoint."""
 
 import os
 import random
@@ -100,14 +100,13 @@ class Network:
             # sender is freed
             fid = pkt.flow_id
             del self.senders[fid]
-            r = self.receivers[fid]
+            flow = sender.flow
             # every data packet sent has arrived, and no more will be sent
-            if r.received == sender.sent:
+            if flow.received == flow.sent:
                 del self.receivers[fid]
-                r.flow.delivered_bytes, r.flow.received = r.cum_ack, r.received
 
 
-# Run-wide counters, summed over the ports and endpoints after the run.
+# Run-wide counters, summed over the ports and flows after the run.
 # ``packets_marked`` counts marks per switch-port hop, not per packet: a
 # packet marked at two ports counts twice.
 RunSummary = namedtuple("RunSummary", "events_dispatched packets_sent "
@@ -233,12 +232,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                                  for spec in flows), horizon)
     end_ns = engine.now if cfg.duration_ns else engine.last_dispatch_ns
 
-    # the counts of flows still running, and of finished ones whose
-    # receiver was kept
-    for sender in net.senders.values():
-        sender.flow.sent = sender.sent
-    for r in net.receivers.values():
-        r.flow.delivered_bytes, r.flow.received = r.cum_ack, r.received
     ports = net.ports.values()
     summary = RunSummary(
         events_dispatched=engine.events_dispatched + started,

@@ -9,11 +9,10 @@ tags, first-window flags, first mark-induced window cut) is recorded here.
 
 Both endpoints hold their flow's ``FlowSpec``.  A sender reads its settings
 from the run's ``RunConfig`` once and copies into its own slots what the
-per-packet path reads.  It writes the flow's rare outcome fields (end time,
-retransmissions, timeouts, first mark-induced cut) into the flow where they
-change.  The per-packet counts stay in the endpoints' slots: a sender copies
-its count into the flow when it completes, and the run copies the others
-when it retires an endpoint or ends.
+per-packet path reads.  The endpoints write every outcome into the flow
+where it changes: the packet counts, the bytes delivered in order, end
+time, retransmissions, timeouts and first mark-induced cut.  Nothing of it
+is copied back when an endpoint is retired or the run ends.
 """
 
 from .packets import Packet, DATA, ACK, ACK_SIZE
@@ -26,13 +25,15 @@ RTO_MAX_NS = 10_000_000_000
 
 class Sender:
     """One flow's sending endpoint and congestion-control state machine.
+    It counts every data packet it emits, retransmissions included, in
+    ``flow.sent``.
 
     A delivered ACK is kept as ``spare`` once its fields are read: nothing
     else holds it, so the next segment the sender emits is that object,
     rewritten in place, and a new packet is allocated only when there is
     none.  An ACK reaching a finished sender is not kept."""
 
-    __slots__ = ("flow", "flow_id", "total", "annotate", "engine", "route",
+    __slots__ = ("flow", "total", "annotate", "engine", "route",
                  "algo", "pacing", "mss", "iw_bytes", "max_cwnd",
                  "rto_min_ns", "dctcp_gain",
                  "cwnd", "ssthresh", "next_seq", "highest_acked", "dupacks",
@@ -40,11 +41,10 @@ class Sender:
                  "alpha", "win_end", "win_acked", "win_marked",
                  "srtt", "rttvar", "rto", "rto_deadline", "rto_timer",
                  "rtt_probe", "pace_next", "pace_timer",
-                 "round", "round_end", "done", "sent", "spare")
+                 "round", "round_end", "done", "spare")
 
     def __init__(self, flow, route, engine, cfg):
         self.flow = flow
-        self.flow_id = flow.flow_id
         self.total = flow.size_bytes
         self.annotate = flow.burst
         self.engine = engine
@@ -86,7 +86,6 @@ class Sender:
         self.round_end = 0
 
         self.done = False
-        self.sent = 0           # data packets, retransmissions included
         self.spare = None       # the last ACK, until a segment reuses it
 
     # -- state view ---------------------------------------------------------
@@ -106,7 +105,7 @@ class Sender:
     def _emit(self, seq_lo, size, now, retransmit):
         pkt = self.spare
         if pkt is None:
-            pkt = Packet(self.flow_id, DATA, size, self.route, seq_lo,
+            pkt = Packet(self.flow.flow_id, DATA, size, self.route, seq_lo,
                          seq_lo + size)
         else:
             # the last ACK becomes the segment: this and the tags below set
@@ -129,7 +128,7 @@ class Sender:
         else:
             pkt.first_window = False
             pkt.send_round = -1
-        self.sent += 1
+        self.flow.sent += 1
         if not retransmit and self.rtt_probe is None:
             self.rtt_probe = (seq_lo + size, now)
         if self.rto_timer is None:
@@ -321,7 +320,7 @@ class Sender:
 
     def _complete(self, now):
         self.done = True
-        self.flow.end_ns, self.flow.sent = now, self.sent
+        self.flow.end_ns = now
         if self.rto_timer is not None:
             self.engine.cancel(self.rto_timer)
             self.rto_timer = None
@@ -335,7 +334,10 @@ _NO_SEGMENTS = {}
 
 
 class Receiver:
-    """Receiving endpoint: immediate cumulative ACK per data packet.
+    """Receiving endpoint: immediate cumulative ACK per data packet.  It
+    counts every data packet, duplicates included, in ``flow.received``, and
+    keeps its cumulative ACK, the bytes delivered in order, in
+    ``flow.delivered_bytes``.
 
     The ACK is the delivered data packet itself, rewritten in place: nothing
     holds a packet once it is delivered.  The sender in turn rewrites the
@@ -347,28 +349,26 @@ class Receiver:
     clears when the sender signals its window reduction (CWR).
     """
 
-    __slots__ = ("flow", "flow_id", "route", "dctcp_echo", "cum_ack",
-                 "segments", "sticky_ece", "received")
+    __slots__ = ("flow", "route", "dctcp_echo", "segments", "sticky_ece")
 
     def __init__(self, flow, route, dctcp_echo):
         self.flow = flow
-        self.flow_id = flow.flow_id
         self.route = route
         self.dctcp_echo = dctcp_echo
-        self.cum_ack = 0
-        self.segments = _NO_SEGMENTS   # seq_lo -> seq_hi held above cum_ack
+        self.segments = _NO_SEGMENTS   # seq_lo -> seq_hi above delivered_bytes
         self.sticky_ece = False
-        self.received = 0       # data packets, duplicates included
 
     def on_data(self, pkt, now):
-        self.received += 1
-        if pkt.seq_lo <= self.cum_ack:
-            if pkt.seq_hi > self.cum_ack:
+        flow = self.flow
+        flow.received += 1
+        cum = flow.delivered_bytes    # the cumulative ACK
+        if pkt.seq_lo <= cum:
+            if pkt.seq_hi > cum:
                 cum = pkt.seq_hi
                 segments = self.segments
                 while cum in segments:
                     cum = segments.pop(cum)
-                self.cum_ack = cum
+                flow.delivered_bytes = cum
         else:
             segments = self.segments
             if segments is _NO_SEGMENTS:
@@ -386,11 +386,11 @@ class Receiver:
             ece = self.sticky_ece
 
         # the data packet becomes its ACK: every slot as Packet(flow_id,
-        # ACK, ACK_SIZE, route, 0, 0, cum_ack) sets it, then the echo
+        # ACK, ACK_SIZE, route, 0, 0, cum) sets it, then the echo
         pkt.kind = ACK
         pkt.size = ACK_SIZE
         pkt.seq_lo = pkt.seq_hi = 0
-        pkt.ack_no = self.cum_ack
+        pkt.ack_no = cum
         pkt.ecn_marked = pkt.cwr = pkt.first_window = False
         pkt.ece_echo = ece
         pkt.send_round = 0

@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from microburst import sim
 from microburst.cli import main
 from microburst.config import (RunConfig, config_from_dict, effective_yaml,
                                expand, read_yaml)
@@ -307,6 +308,46 @@ def test_sweep_creates_one_subdirectory_per_point(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     for n in (2, 4, 6):
         assert (out / f"n={n}" / "metrics.csv").exists()
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """The arguments of every schedule a run builds."""
+    builds = []
+    build_schedule = sim.build_schedule
+
+    def counted_build_schedule(*args):
+        builds.append(args)
+        return build_schedule(*args)
+
+    monkeypatch.setattr(sim, "build_schedule", counted_build_schedule)
+    return builds
+
+
+# each point's run builds its schedule; before the first run, points 2..N
+# are built once more to check them, and the first point is checked by its
+# own run
+@pytest.mark.parametrize("config, builds", [("sync_fanin.yaml", 1),
+                                            ("incast_sweep.yaml", 1 + 2 * 5)])
+def test_run_builds_the_first_point_schedule_once(tmp_path, schedule_builds,
+                                                  config, builds):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        config)
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
+    assert len(schedule_builds) == builds
+
+
+def test_bad_one_point_schedule_exits_two_after_one_build(tmp_path, capsys,
+                                                         schedule_builds):
+    raw = dict(GOOD_CONFIG, scenario=dict(GOOD_CONFIG["scenario"],
+                                          start_ns=5_000_000))  # none starts
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, raw), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: duration_ns: ")
+    assert captured.out == ""
+    assert not out.exists()
+    assert len(schedule_builds) == 1
 
 
 SHIPPED_CONFIGS = sorted(glob.glob(

@@ -21,7 +21,7 @@ from microburst.packets import ACK, ACK_SIZE, DATA, Packet
 from microburst.scenarios import FlowSpec
 from microburst.sim import (AuditError, Network, run_simulation,
                             write_outputs)
-from microburst.topology import HOSTS, PORT_IDS
+from microburst.topology import HOSTS, PORT_IDS, path
 from microburst.transport import DCTCP, NEWRENO, Receiver, Sender
 from microburst.units import GBPS
 from test_golden import CASES, FANIN
@@ -101,14 +101,14 @@ def test_audit_names_flow_delivered_past_its_size(monkeypatch):
     def overcounting_run_until(self, t_end_ns):
         run_until(self, t_end_ns)
         if t_end_ns == 6_000_000:   # the horizon: the loop's last call
-            receivers[2].cum_ack += 1_000_000
+            receivers[2].flow.delivered_bytes += 1_000_000
 
     monkeypatch.setattr(Receiver, "__init__", recording_init)
     monkeypatch.setattr(Engine, "run_until", overcounting_run_until)
     with pytest.raises(AuditError) as err:
         run_sync(4)
     assert str(err.value).startswith(
-        f"flow {receivers[2].flow_id}: delivered_bytes 1300000 > "
+        f"flow {receivers[2].flow.flow_id}: delivered_bytes 1300000 > "
         f"size_bytes 1000000")
 
 
@@ -349,7 +349,7 @@ def test_query_ends_match_completion_order_when_cut_at_horizon(monkeypatch):
     complete = Sender._complete
 
     def recording_complete(self, now):
-        completions.append((self.flow_id, now))
+        completions.append((self.flow.flow_id, now))
         complete(self, now)
 
     monkeypatch.setattr(Sender, "_complete", recording_complete)
@@ -430,7 +430,7 @@ def test_cut_run_records_every_flow_started_or_not(monkeypatch):
 
     monkeypatch.setattr(sim, "Sender", KeptSender)
     res = run_simulation(CUT_WEBSEARCH)
-    by_flow = {s.flow_id: s for s in senders}
+    by_flow = {s.flow.flow_id: s for s in senders}
     never = [f for f in res.flows if f.flow_id not in by_flow]
     assert never and all(f.start_ns > CUT_WEBSEARCH.duration_ns
                          for f in never)
@@ -442,9 +442,49 @@ def test_cut_run_records_every_flow_started_or_not(monkeypatch):
     assert any(f.first_ece_cut_ns is not None for f in started)
     for f in started:
         s = by_flow[f.flow_id]
-        assert s.flow is f and f.sent == s.sent
+        assert s.flow is f
         assert (f.end_ns is not None) == s.done
-    assert res.summary.packets_sent == sum(s.sent for s in senders)
+
+
+# every port traced on a case with drops, retransmissions and out-of-order
+# arrivals, and on one with flows still sending at the horizon.  The golden
+# case drains by 32 ms; its 1 s horizon only ends a run that never would
+COUNT_CASES = {
+    "tcp_fanin_drops": config_from_dict(dict(
+        CASES["tcp_fanin_drops"], duration_ns=1_000_000_000,
+        telemetry={"mode": "exact", "ports": list(PORT_IDS)})),
+    "cut_websearch": RunConfig(**dict(vars(CUT_WEBSEARCH),
+                                      telemetry_mode="exact",
+                                      telemetry_ports=list(PORT_IDS))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CASES))
+def test_flow_counts_match_the_traced_ports(name):
+    # Oracle: a data packet is sent as it enters its source host's NIC and,
+    # with no link or switch delay, received as it leaves the port into its
+    # destination host, which carries none of the flow's ACKs
+    cfg = COUNT_CASES[name]
+    assert cfg.prop_delay_ns == cfg.hop_proc_ns == 0
+    res = run_simulation(cfg)
+    rows = Counter()
+    for port_id, trace in res.traces.items():
+        for _, _, _, fid, code in trace.rows():
+            rows[port_id, fid, code] += 1
+    for f in res.flows:
+        nodes = path(f.src, f.dst)
+        nic, last = f"{nodes[0]}->{nodes[1]}", f"{nodes[-2]}->{nodes[-1]}"
+        assert f.sent == (rows[nic, f.flow_id, ENQUEUE]
+                          + rows[nic, f.flow_id, ENQUEUE_MARKED]), f
+        assert f.received == rows[last, f.flow_id, DEQUEUE], f
+        assert f.delivered_bytes <= f.size_bytes, f
+        if f.end_ns is not None:
+            assert f.delivered_bytes == f.size_bytes, f
+    if name == "tcp_fanin_drops":   # every flow ends, some after a loss
+        assert all(f.end_ns is not None for f in res.flows)
+        assert any(f.retransmits for f in res.flows)
+    else:
+        assert any(f.end_ns is None and f.sent for f in res.flows)
 
 
 @pytest.fixture
@@ -525,9 +565,9 @@ def test_receiver_of_a_flow_that_lost_a_packet_acks_a_late_duplicate(
     # the kept receiver acknowledges it, and the late ACK is ignored
     receiver = net.receivers[0]
     ack_port = receiver.route[0]
-    now = net.engine.now
+    now, received = net.engine.now, lost.received
     net._deliver(now, Packet(0, DATA, MSS, net.route("h1", "h10"), 0, MSS))
-    assert receiver.received == lost.received + 1
+    assert lost.received == received + 1
     assert [(p.kind, p.ack_no) for p in ack_port.queue] == [(ACK, 30_000)]
     net.engine.run_until(now + 1_000_000)
     assert not ack_port.queue and ack_port.conservation_ok()

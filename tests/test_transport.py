@@ -30,7 +30,7 @@ def test_initial_window_is_three_segments(one_link):
     net = one_link(total_bytes=1_000_000)
     net.sender.start(0)
     assert net.sender.next_seq == 3 * MSS
-    assert net.sender.sent == 3
+    assert net.flow.sent == 3
     assert all(p.first_window for p in net.fwd.queue)
 
 
@@ -47,10 +47,10 @@ def test_slow_start_two_packets_per_ack(one_link):
     net = one_link(total_bytes=1_000_000)
     net.sender.start(0)
     assert net.sender.cwnd == 3 * MSS
-    sent_before = net.sender.sent
+    sent_before = net.flow.sent
     net.sender.on_ack(ack(0, MSS), 100)
     assert net.sender.cwnd == 4 * MSS
-    assert net.sender.sent - sent_before == 2
+    assert net.flow.sent - sent_before == 2
 
 
 def test_congestion_avoidance_one_mss_per_rtt(one_link):
@@ -155,12 +155,12 @@ def test_three_dupacks_trigger_fast_retransmit(one_link):
     s.start(0)
     s.cwnd = 10 * MSS
     s.next_seq = 10 * MSS
-    sent = net.sender.sent
+    sent = net.flow.sent
     for _ in range(3):
         s.on_ack(ack(0, 0), 100)
     assert s.in_recovery
     assert net.flow.retransmits == 1
-    assert net.sender.sent == sent + 1
+    assert net.flow.sent == sent + 1
     assert s.ssthresh == 5 * MSS
 
 
@@ -201,7 +201,7 @@ def test_receiver_in_order_ack_advances(one_link):
     net = one_link()
     net.sender.start(0)
     net.run(12_000)   # first packet delivered
-    assert net.receiver.cum_ack == MSS
+    assert net.flow.delivered_bytes == MSS
 
 
 def test_receiver_out_of_order_duplicate_ack(one_link):
@@ -212,15 +212,15 @@ def test_receiver_out_of_order_duplicate_ack(one_link):
     p3 = Packet(0, DATA, MSS, (), seq_lo=2 * MSS, seq_hi=3 * MSS)
     p2 = Packet(0, DATA, MSS, (), seq_lo=MSS, seq_hi=2 * MSS)
     r.on_data(p1, 0)
-    assert r.cum_ack == MSS
+    assert r.flow.delivered_bytes == MSS
     r.on_data(p3, 10)          # hole: duplicate cumulative ack
-    assert r.cum_ack == MSS
+    assert r.flow.delivered_bytes == MSS
     # the held segment is this receiver's alone
     fresh = Receiver(FlowSpec(1, "h2", "h10", 3 * MSS, 0), (StubPort(),),
                      dctcp_echo=False)
     assert r.segments == {2 * MSS: 3 * MSS} and fresh.segments == {}
     r.on_data(p2, 20)          # hole filled: jumps past both
-    assert r.cum_ack == 3 * MSS
+    assert r.flow.delivered_bytes == 3 * MSS
 
 
 def test_receiver_sticky_ece_until_cwr(one_link):
@@ -407,22 +407,22 @@ def lossy(lossy_port, net, deliver, data_drops, ack_drops):
 def test_flow_survives_adversarial_drops(one_link, lossy_port, algo, segments,
                                          data_drops, ack_drops):
     net = one_link(algo=algo, total_bytes=segments * MSS)
-    s, r = net.sender, net.receiver
-    seen = []    # (cum_ack, highest_acked, rto) before and after each delivery
+    s, flow = net.sender, net.flow
+    seen = []    # (cumulative ACK, highest_acked, rto) around each delivery
 
     def deliver(now, pkt):
-        seen.append((r.cum_ack, s.highest_acked, s.rto))
+        seen.append((flow.delivered_bytes, s.highest_acked, s.rto))
         net._deliver(now, pkt)
-        seen.append((r.cum_ack, s.highest_acked, s.rto))
+        seen.append((flow.delivered_bytes, s.highest_acked, s.rto))
 
     fwd = lossy(lossy_port, net, deliver, data_drops, ack_drops)
     s.start(0)
     net.run(1 << 62)
-    assert s.done and r.cum_ack == s.total
+    assert s.done and flow.delivered_bytes == s.total
     for (c0, h0, _), (c1, h1, _) in zip(seen, seen[1:]):
         assert c1 >= c0 and h1 >= h0
     assert max(rto for _, _, rto in seen) <= RTO_MAX_NS
-    assert s.sent == r.received + fwd.data_drops
+    assert flow.sent == flow.received + fwd.data_drops
 
 
 def pending_timers(engine, sender):
