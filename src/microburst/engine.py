@@ -6,8 +6,8 @@ they were scheduled.  Identical (config, seed) therefore replays the exact
 same event sequence.
 
 The event set is two heaps of the same entries.  An event due within
-``HOT_WINDOW_NS`` of ``now`` when it is scheduled (a port departure, a
-delayed forward or delivery, a pace timer) goes into the hot heap; a later
+``HOT_WINDOW_NS`` of ``now`` when it is scheduled (a port departure, an
+arrival over a delayed link, a pace timer) goes into the hot heap; a later
 one (mostly retransmission timers, among them the cancelled timers of
 finished flows) into the far heap.  The hot heap then holds little more
 than the events of the packets in flight, so a hop sifts through a few
@@ -88,7 +88,8 @@ class Engine:
         return True
 
     def pending(self) -> list:
-        """``(fn, arg)`` of every event still due, in no particular order."""
+        """``(fn, arg)`` of every event still due, in no particular order.
+        Only tests and diagnostics call it; the run reads nothing from it."""
         return [(entry[2], entry[3]) for entry in self._heap + self._far
                 if entry[2] is not None]
 

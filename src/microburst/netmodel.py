@@ -175,20 +175,32 @@ class PortTrace:
             yield "".join(lines)
 
 
-def _forward(now, arg):
-    port, pkt = arg
-    port.enqueue(pkt, now)
+def _forward(now, port):
+    """The oldest packet in ``port.in_transit`` reaches its next hop: the
+    next port of its route, or its host after the last one."""
+    pkt = port.in_transit.popleft()
+    route = pkt.route
+    if pkt.hop < len(route):
+        route[pkt.hop].enqueue(pkt, now)
+    else:
+        port.deliver_fn(now, pkt)
 
 
 class Port:
     """One output port: FIFO queue draining at line rate.  The head of the
-    queue is the packet on the wire, so the port is idle iff it is empty."""
+    queue is the packet on the wire, so the port is idle iff it is empty.
+
+    A packet that has left reaches the next hop ``forward_ns`` later.  Until
+    then it waits in ``in_transit``, oldest first, and one ``_forward``
+    event per packet hands it on; the delay is constant, so the packets
+    arrive in the order they left.  A port with no delay hands each packet
+    on as it leaves, and its ``in_transit`` is an empty tuple."""
 
     __slots__ = ("port_id", "rate_bps", "buffer_limit", "policy", "engine",
                  "queue", "queue_bytes", "ser_ns", "forward_ns", "deliver_fn",
-                 "trace", "bytes_in", "bytes_out", "bytes_dropped",
-                 "drops", "data_drops", "marks", "max_queue_bytes",
-                 "_tx_done_fn")
+                 "in_transit", "trace", "bytes_in", "bytes_out",
+                 "bytes_dropped", "drops", "data_drops", "marks",
+                 "max_queue_bytes", "_tx_done_fn")
 
     def __init__(self, port_id, rate_bps, buffer_limit, policy, engine,
                  forward_ns=0, deliver_fn=None):
@@ -205,6 +217,7 @@ class Port:
         self.ser_ns = ser_ns    # size -> wire time at this port's rate
         self.forward_ns = forward_ns
         self.deliver_fn = deliver_fn
+        self.in_transit = deque() if forward_ns else ()
         self.trace = None
         self.bytes_in = 0
         self.bytes_out = 0
@@ -274,17 +287,13 @@ class Port:
         pkt.hop = hop
         route = pkt.route
         delay = self.forward_ns
-        if hop < len(route):
-            nxt = route[hop]
-            if delay:
-                self.engine.schedule(now + delay, _forward, (nxt, pkt))
-            else:
-                nxt.enqueue(pkt, now)
+        if delay:
+            self.in_transit.append(pkt)
+            self.engine.schedule(now + delay, _forward, self)
+        elif hop < len(route):
+            route[hop].enqueue(pkt, now)
         else:
-            if delay:
-                self.engine.schedule(now + delay, self.deliver_fn, pkt)
-            else:
-                self.deliver_fn(now, pkt)
+            self.deliver_fn(now, pkt)
 
     def conservation_ok(self) -> bool:
         return self.bytes_in == self.bytes_out + self.queue_bytes

@@ -14,7 +14,9 @@ sender is retired, and its receiver too once every data packet sent has
 arrived: per-flow state scales with the flows in flight, not with the
 length of the schedule.  After a loss the receiver stays, since a
 retransmitted duplicate can still reach it and be acknowledged.  The run
-reads its totals from the flows and ports alone, never from an endpoint."""
+reads its totals and its audit from the flows and ports alone, never from
+an endpoint or the engine's pending events: a port holds the packets on
+its delayed link in its ``in_transit``."""
 
 import os
 import random
@@ -24,7 +26,7 @@ from .config import PROTOCOLS, ConfigError, RunConfig, effective_yaml
 from .engine import Engine
 from .marking import ThresholdEcn, SlopeEcn
 from .netmodel import Port, PortTrace
-from .packets import DATA, Packet
+from .packets import DATA
 from .scenarios import build_schedule
 from .topology import PORT_TABLE, PORTS_INTO, path
 from .transport import Sender, Receiver, DCTCP
@@ -144,12 +146,17 @@ def _run_loop(engine, starts, horizon):
 
     Each call comes after every event due before ``t`` and before every
     event due at ``t``, as if it had been scheduled before the loop: the
-    engine holds only the events scheduled while the run goes on."""
+    engine holds only the events scheduled while the run goes on.  The
+    engine runs once per start time, since a start schedules nothing before
+    its own time."""
     called = 0
+    last = None
     for t, fn, arg in starts:
         if t > horizon:
             break
-        engine.run_until(t - 1)
+        if t != last:
+            engine.run_until(t - 1)
+            last = t
         fn(t, arg)
         called += 1
     engine.run_until(horizon)
@@ -160,21 +167,16 @@ class AuditError(Exception):
     """An end-of-run invariant does not hold; the message names where."""
 
 
-def _data_in_flight(net, engine):
-    """(queued, held): data packets in the port queues, and those held by a
-    pending delayed-forward ``(port, packet)`` or delayed-deliver event."""
-    queued = sum(pkt.kind == DATA for port in net.ports.values()
-                 for pkt in port.queue)
-    held = 0
-    for _, arg in engine.pending():
-        if type(arg) is tuple:
-            arg = arg[1]
-        if type(arg) is Packet and arg.kind == DATA:
-            held += 1
+def _data_in_flight(net):
+    """(queued, held): data packets in the port queues, and those on a
+    delayed link, in a port's ``in_transit``, not yet at the next hop."""
+    ports = net.ports.values()
+    queued = sum(pkt.kind == DATA for port in ports for pkt in port.queue)
+    held = sum(pkt.kind == DATA for port in ports for pkt in port.in_transit)
     return queued, held
 
 
-def _audit(net, engine, flows, summary):
+def _audit(net, flows, summary):
     """Byte conservation on every port, no flow delivered past its size, and
     every data packet sent received, dropped or still in flight."""
     for port_id, port in net.ports.items():
@@ -189,7 +191,7 @@ def _audit(net, engine, flows, summary):
                 f"> size_bytes {flow.size_bytes}")
     sent, received = summary.packets_sent, summary.packets_delivered
     dropped = sum(port.data_drops for port in net.ports.values())
-    queued, held = _data_in_flight(net, engine)
+    queued, held = _data_in_flight(net)
     if sent != received + dropped + queued + held:
         raise AuditError(
             f"data packets: sent {sent} != received {received} + dropped "
@@ -239,7 +241,7 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         packets_delivered=sum(f.received for f in flows),
         packets_dropped=sum(p.drops for p in ports),
         packets_marked=sum(p.marks for p in ports))
-    _audit(net, engine, flows, summary)
+    _audit(net, flows, summary)
 
     first_ece = min((f.first_ece_cut_ns for f in flows
                      if f.first_ece_cut_ns is not None), default=None)

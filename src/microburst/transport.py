@@ -329,10 +329,6 @@ class Sender:
             self.pace_timer = None
 
 
-# the out-of-order map of every receiver that has seen none: never written
-_NO_SEGMENTS = {}
-
-
 class Receiver:
     """Receiving endpoint: immediate cumulative ACK per data packet.  It
     counts every data packet, duplicates included, in ``flow.received``, and
@@ -355,7 +351,7 @@ class Receiver:
         self.flow = flow
         self.route = route
         self.dctcp_echo = dctcp_echo
-        self.segments = _NO_SEGMENTS   # seq_lo -> seq_hi above delivered_bytes
+        self.segments = {}   # seq_lo -> seq_hi above delivered_bytes
         self.sticky_ece = False
 
     def on_data(self, pkt, now):
@@ -371,8 +367,6 @@ class Receiver:
                 flow.delivered_bytes = cum
         else:
             segments = self.segments
-            if segments is _NO_SEGMENTS:
-                segments = self.segments = {}
             if pkt.seq_hi > segments.get(pkt.seq_lo, 0):
                 segments[pkt.seq_lo] = pkt.seq_hi
 

@@ -598,6 +598,29 @@ def test_flow_starts_at_the_horizon_but_not_one_ns_later(networks,
     assert (after.end_ns, after.sent) == (None, 0)
 
 
+def test_loop_runs_the_engine_once_per_start_time(monkeypatch):
+    # the flows that start at one time share one run of the engine to just
+    # before it, and the last run goes to the horizon (a drained run's)
+    starts = (("h1", 0), ("h2", 0), ("h3", 0), ("h4", 5_000), ("h5", 5_000),
+              ("h6", 9_000))
+    flows = [FlowSpec(fid, src, "h10", 15_000, start_ns)
+             for fid, (src, start_ns) in enumerate(starts)]
+    monkeypatch.setattr(sim, "build_schedule", lambda *args: (flows, []))
+    ends, run_until = [], Engine.run_until
+
+    def counted_run_until(self, t_end_ns):
+        ends.append(t_end_ns)
+        run_until(self, t_end_ns)
+
+    monkeypatch.setattr(Engine, "run_until", counted_run_until)
+    res = run_simulation(RunConfig(seed=1, protocol="TCP",
+                                   telemetry_mode="off",
+                                   scenario={"kind": "sync_fanin", "n": 1}))
+    assert ends == [-1, 4_999, 8_999, 1 << 62]
+    assert all(f.end_ns is not None and f.received == f.sent > 0
+               for f in res.flows)
+
+
 # the golden case whose forwarding and final delivery are scheduled events
 DELAYED_LINKS = dict(
     seed=9, protocol="DCTCP",
@@ -613,8 +636,8 @@ def in_flight(monkeypatch):
     seen = []
     count = sim._data_in_flight
 
-    def recording(net, engine):
-        seen.append(count(net, engine))
+    def recording(net):
+        seen.append(count(net))
         return seen[-1]
 
     monkeypatch.setattr(sim, "_data_in_flight", recording)
@@ -628,7 +651,7 @@ def in_flight(monkeypatch):
 ], ids=["delayed_links", "delayed_links_cut", "websearch_cut"])
 def test_packet_audit_counts_data_in_flight(in_flight, cfg, queued, held):
     # the audit passes; a cut run leaves data in port queues, and with link
-    # delays in pending forward and deliver events.  A delivered data packet
+    # delays in the ports' in_transit FIFOs.  A delivered data packet
     # is its own ACK by then, so the audit counts it once, as received
     res = run_simulation(cfg)
     assert res.summary.packets_sent > res.summary.packets_delivered > 0
